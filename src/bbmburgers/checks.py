@@ -80,6 +80,19 @@ def suite_identities() -> list:
         worst = max(worst, abs(val - p.mass))
     out.append(CheckResult("integral of chi(.,t) equals M at t in {0,1,10,100}",
                            worst <= 1e-8, worst, 1e-8))
+
+    # the quadrature oracle runs on every 10th point only, which keeps it cheap
+    ps_jump = pr.constants(p, c_alpha=(1.0, -1.0))
+    xz = np.linspace(-20.0, 20.0, 801)
+    worst = 0.0
+    for t in (1.0, 10.0, 100.0):
+        for l in (0, 1):
+            z = pr.Z_eval(xz, t, p, ps_jump, derivative=l)
+            ref = pr.Z_eval_quadrature(xz[::10], t, p, ps_jump, derivative=l)
+            worst = max(worst, float(np.abs(z[::10] - ref).max() / np.abs(z).max()))
+    out.append(CheckResult("Z: heat-semigroup route vs panel quadrature",
+                           worst <= 1e-8, worst, 1e-8,
+                           detail="(relative to max|Z|, t in {1,10,100})"))
     return out
 
 

@@ -331,6 +331,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
         "solver": {
             "segments": len(traj.step_stats),
             "dt_final": traj.step_stats[-1].dt if traj.step_stats else None,
+            "dt_halvings": traj.dt_halvings,
             "times": [float(t) for t in traj.times],
         },
         "fits": fits,

@@ -37,6 +37,7 @@ __all__ = [
     "V",
     "V_x",
     "Z_eval",
+    "Z_eval_quadrature",
     "r0_eval",
     "extract_c_alpha",
     "extract_c_alpha_detailed",
@@ -220,7 +221,7 @@ def V_x(x, t, p: ModelParams, ps: ProfileSet):
 
 
 # ---------------------------------------------------------------------------
-# Panel Gauss-Legendre quadrature shared by Z and the U-operator.
+# Panel Gauss-Legendre quadrature shared by the Z oracle and the U-operator.
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -262,20 +263,118 @@ def _z_window(t: float, alpha: float, x_min: float, x_max: float):
     return lo, hi
 
 
-def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
-    """Slow-tail correction profile (and its first x-derivative).
-
-    Evaluates the y-integral of c_alpha(y) (1+|y|)^{1-alpha} against the
-    closed-form x-derivatives of G(x-y, t) eta(x, t) by panel Gauss-Legendre
-    quadrature.  Only derivative orders 0 and 1 are supported in closed form.
-    """
+def _z_args(x, t: float, p: ModelParams, derivative: int):
     if t <= 0.0:
         raise ConfigError("Z is defined for t > 0")
     if not (1.0 < p.alpha <= 2.0):
         raise ConfigError("Z requires 1 < alpha <= 2")
     if derivative not in (0, 1):
         raise ConfigError("Z_eval supports derivative orders 0 and 1 only")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return np.atleast_1d(np.asarray(x, dtype=np.float64))
+
+
+# Heat-semigroup route: lattice step bound, kernel reach in units of sqrt(t)
+# (the Gaussian mass beyond 12 sqrt(t) is below 1e-16), and the relative
+# tolerance within which x must be evenly spaced on a lattice through 0.
+_Z_LATTICE_STEP = 0.05
+_Z_KERNEL_REACH = 12.0
+_Z_LATTICE_RTOL = 1e-9
+
+
+def _z_lattice(x):
+    """Lattice step h = dx/m, m the smallest integer giving h <= 0.05, and the
+    integer index k of every point (x == k h).  A single point is spaced by
+    its distance to 0."""
+    if x.size > 1:
+        dx = (x[-1] - x[0]) / (x.size - 1)
+        if dx == 0.0 or np.abs(np.diff(x) - dx).max() > _Z_LATTICE_RTOL * abs(dx):
+            raise ConfigError("Z_eval needs evenly spaced points")
+    else:
+        dx = x[0] if x[0] != 0.0 else _Z_LATTICE_STEP
+    dx = abs(dx)
+    h = dx / math.ceil(dx / _Z_LATTICE_STEP - _Z_LATTICE_RTOL)
+    k = np.rint(x / h)
+    if np.abs(x - k * h).max() > _Z_LATTICE_RTOL * h:
+        raise ConfigError("Z_eval needs points on a lattice through x = 0")
+    return h, k.astype(np.int64)
+
+
+def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet):
+    """w = G(t) rho and its first two x-derivatives at the lattice points k h.
+
+    Each is the trapezoid sum over y_j = j h of the sampled kernel (G, G' or
+    G'') against rho, with rho at y = 0 set to the mean of its jump, so the
+    error is O(h^2) with an even expansion in h.  The three discrete
+    convolutions share one zero-padded rfft/irfft pair.  Returns a (3, k.size)
+    array.
+    """
+    J = int(math.ceil(_Z_KERNEL_REACH * math.sqrt(t) / h))
+    lo = int(k.min()) - J
+    n_rho = int(k.max()) + J + 1 - lo
+    # a circular convolution of length >= n_rho leaves the needed outputs unaliased
+    n_fft = 1 << (n_rho - 1).bit_length()
+
+    y = h * np.arange(lo, lo + n_rho)
+    rho = np.where(y >= 0.0, ps.c_alpha_plus, ps.c_alpha_minus) * (
+        (1.0 + np.abs(y)) ** (1.0 - p.alpha)
+    )
+    if lo <= 0 < lo + n_rho:
+        rho[-lo] = 0.5 * (ps.c_alpha_plus + ps.c_alpha_minus)
+
+    z = h * np.arange(-J, J + 1)
+    inv2t = 0.5 / t
+    g = (h / math.sqrt(4.0 * math.pi * t)) * np.exp(-(z * z) * (0.25 / t))
+    buf = np.zeros((4, n_fft))
+    buf[0, :n_rho] = rho
+    buf[1, : 2 * J + 1] = g
+    buf[2, : 2 * J + 1] = -z * inv2t * g
+    buf[3, : 2 * J + 1] = (z * z * inv2t * inv2t - inv2t) * g
+    spec = np.fft.rfft(buf)
+    conv = np.fft.irfft(spec[1:] * spec[0], n=n_fft)
+    return conv[:, k + (J - lo)]
+
+
+def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
+    """Slow-tail correction profile (and its first x-derivative).
+
+    Z = d_x(eta(t) w) with w = G(t)[rho], rho(y) = c_alpha(y) (1+|y|)^{1-alpha},
+    so Z = eta (w' + (beta/2) chi w) and, with b = beta chi / 2,
+    Z_x = eta (w'' + 2 b w' + (b' + b^2) w).  The heat-semigroup terms w, w',
+    w'' come from discrete convolutions on the uniform lattice y = j h through
+    0 covering [min x - 12 sqrt(t), max x + 12 sqrt(t)], with h = dx/m for the
+    smallest integer m giving h <= 0.05 (dx the spacing of x); the h and h/2
+    results are combined by Richardson extrapolation, (4 w_{h/2} - w_h)/3, for
+    an O(h^4) error.  x must therefore be evenly spaced on a lattice through 0
+    (ConfigError otherwise; there is no dense fallback).  Z_eval_quadrature is
+    the independent panel Gauss-Legendre oracle of the same integral, checked
+    against this route in checks.suite_identities.  Only derivative orders 0
+    and 1 are supported in closed form.
+    """
+    x = _z_args(x, t, p, derivative)
+    if ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0:
+        return np.zeros_like(x)
+
+    h, k = _z_lattice(x)
+    coarse = _heat_lattice_terms(k, h, t, p, ps)
+    fine = _heat_lattice_terms(2 * k, 0.5 * h, t, p, ps)
+    w, wx, wxx = (4.0 * fine - coarse) / 3.0
+
+    b = 0.5 * p.beta * chi(x, t, p)
+    if derivative == 0:
+        return eta(x, t, p) * (wx + b * w)
+    b1 = 0.5 * p.beta * chi_x(x, t, p)
+    return eta(x, t, p) * (wxx + 2.0 * b * wx + (b1 + b * b) * w)
+
+
+def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
+    """Slow-tail correction profile (and its first x-derivative).
+
+    Evaluates the y-integral of c_alpha(y) (1+|y|)^{1-alpha} against the
+    closed-form x-derivatives of G(x-y, t) eta(x, t) by panel Gauss-Legendre
+    quadrature, at any points x.  This dense route is the oracle for Z_eval.
+    Only derivative orders 0 and 1 are supported in closed form.
+    """
+    x = _z_args(x, t, p, derivative)
     if ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0:
         return np.zeros_like(x)
 

@@ -215,6 +215,7 @@ class Trajectory:
     mass_log: np.ndarray
     nyquist_fraction: np.ndarray
     step_stats: list = field(default_factory=list)
+    dt_halvings: int = 0  # times the blow-up sentinel halved dt (at most 3)
 
     def validate(self):
         m0 = self.mass_log[0]
@@ -302,6 +303,7 @@ def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
         np.asarray(masses),
         np.asarray(fracs),
         stats,
+        halvings,
     ).validate()
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bbmburgers import Field, ModelParams, make_grid
+from bbmburgers import Field, InstabilityError, ModelParams, make_grid
+from bbmburgers import solver as sv
 
 
 @pytest.fixture
@@ -22,6 +23,26 @@ def params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def flaky_march(monkeypatch):
+    """Call with n to make the solver's step loop raise InstabilityError on
+    its first n calls, as the blow-up sentinel would."""
+
+    def install(failures=1):
+        real = sv._march
+        calls = {"n": 0}
+
+        def march(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] <= failures:
+                raise InstabilityError("injected blow-up")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "_march", march)
+
+    return install
 
 
 def band_limited(grid, rng, n_modes=16, amplitude=1.0):

@@ -118,6 +118,7 @@ def second_aux_bundle():
 # ---------------------------------------------------------------------------
 # Criterion 5: first-profile rates
 
+@pytest.mark.slow
 def test_criterion_5_first_profile_rates(alpha15_bundle, alpha3_bundle):
     ok = True
 
@@ -136,6 +137,7 @@ def test_criterion_5_first_profile_rates(alpha15_bundle, alpha3_bundle):
 # ---------------------------------------------------------------------------
 # Criterion 6: second-profile refinements
 
+@pytest.mark.slow
 def test_criterion_6_second_profiles(alpha15_bundle, alpha3_bundle, alpha2_bundle,
                                      second_aux_bundle):
     ok = True
@@ -172,6 +174,7 @@ def test_criterion_6_second_profiles(alpha15_bundle, alpha3_bundle, alpha2_bundl
 # ---------------------------------------------------------------------------
 # Criterion 7: first derivative, exponents shifted by -1/2
 
+@pytest.mark.slow
 def test_criterion_7_first_derivative(alpha15_bundle, alpha3_bundle, alpha2_bundle,
                                       second_aux_bundle):
     ok = True
@@ -214,6 +217,7 @@ def test_criterion_7_first_derivative(alpha15_bundle, alpha3_bundle, alpha2_bund
 # ---------------------------------------------------------------------------
 # Rate-ordering and window-stability properties on the main scenario
 
+@pytest.mark.slow
 def test_rate_ordering_and_window_stability(alpha15_bundle):
     ok = True
     f_chi = fit_rate(alpha15_bundle["series"][("chi", 0, "linf")], WINDOW)
@@ -229,6 +233,7 @@ def test_rate_ordering_and_window_stability(alpha15_bundle):
     assert ok
 
 
+@pytest.mark.slow
 def test_optimal_rate_report_on_main_scenario(alpha15_bundle):
     from bbmburgers.asymptotics import optimal_rate_report
     report = optimal_rate_report(alpha15_bundle["traj"], alpha15_bundle["ps"],

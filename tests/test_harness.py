@@ -141,6 +141,11 @@ class TestRunExperiment:
         assert rep["cross_checks"]["mass_drift"] < 1e-10
         assert "chi|linf|l0" in rep["fits"]
 
+    def test_dt_halvings_reported(self, flaky_march):
+        flaky_march(1)
+        report = hn.run_experiment(tiny_scenario(), write=False, out_root=None)["report"]
+        assert report["solver"]["dt_halvings"] == 1
+
     def test_linear_oracle_cross_check(self, tmp_path):
         s = tiny_scenario(beta=0.0, name="lin-oracle")
         bundle = hn.run_experiment(s, out_root=str(tmp_path / "out"))

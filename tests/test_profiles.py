@@ -190,6 +190,39 @@ class TestZ:
             scaled.append(np.abs(z).max() * (1.0 + t) ** (P.alpha / 2.0))
         assert max(scaled) / min(scaled) < 2.0
 
+    # the O(h^4) remainder grows with the jump of rho''' at y = 0, largest at alpha = 2
+    @pytest.mark.parametrize("alpha, c_alpha, tol",
+                             [(1.5, (1.0, -1.0), 1e-8), (2.0, (1.0, 1.0), 5e-8)])
+    def test_heat_route_matches_quadrature(self, alpha, c_alpha, tol):
+        p = ModelParams(1.0, 1.0, alpha, 0.5)
+        ps = pr.constants(p, c_alpha=c_alpha)
+        x = np.linspace(-400.0, 400.0, 4001)  # dx = 0.2: lattice step dx/4
+        for t in (1.0, 30.0):
+            for l in (0, 1):
+                z = pr.Z_eval(x, t, p, ps, derivative=l)
+                ref = pr.Z_eval_quadrature(x[::5], t, p, ps, derivative=l)
+                assert np.abs(z[::5] - ref).max() <= tol * np.abs(z).max()
+
+    def test_lattice_sum_is_second_order_before_extrapolation(self):
+        # halving h cuts the error 4x only because rho takes the mean of its
+        # jump at y = 0; the raw one-sided value would leave an O(h) error
+        x = np.linspace(-20.0, 20.0, 101)
+        k = np.rint(x / 0.4).astype(np.int64)
+
+        def terms(m):
+            return pr._heat_lattice_terms(m * k, 0.4 / m, 2.0, P, self.ps)
+
+        ref = (4.0 * terms(32) - terms(16)) / 3.0
+        err = [np.abs(terms(m) - ref).max(axis=1) for m in (4, 8)]
+        assert np.all(np.abs(err[0] / err[1] - 4.0) < 0.1)
+
+    def test_rejects_points_off_a_lattice_through_zero(self):
+        uneven = np.array([-1.0, 0.0, 0.5, 2.0])
+        shifted = np.linspace(-10.03, 9.97, 101)  # dx = 0.2, 0 not on the lattice
+        for x in (uneven, shifted):
+            with pytest.raises(ConfigError):
+                pr.Z_eval(x, 1.0, P, self.ps)
+
 
 class TestR0:
     def test_r0_of_chi_star_is_zero(self):

@@ -213,3 +213,20 @@ class TestGuards:
         p_hot = ModelParams(40.0, 0.0, 1.5, 0.0)
         with pytest.raises((InstabilityError, ConfigError)):
             traj = sv.integrate(u0, p_hot, [50.0], dt=5.0)
+
+
+class TestDtHalvings:
+    def test_clean_run_records_none(self, grid60):
+        traj = sv.integrate(gaussian_data(grid60), P, [1.0, 2.0], dt=0.1)
+        assert traj.dt_halvings == 0
+
+    def test_one_blowup_recorded(self, grid60, flaky_march):
+        flaky_march(1)
+        traj = sv.integrate(gaussian_data(grid60), P, [1.0, 2.0], dt=0.1)
+        assert traj.dt_halvings == 1
+        assert [s.dt for s in traj.step_stats] == pytest.approx([0.05, 0.05])
+
+    def test_fourth_blowup_raises(self, grid60, flaky_march):
+        flaky_march(4)
+        with pytest.raises(InstabilityError):
+            sv.integrate(gaussian_data(grid60), P, [1.0], dt=0.1)
