@@ -1,15 +1,6 @@
 """Numerical laboratory for large-time asymptotics of the BBM-Burgers equation."""
 
-from .core import (
-    Field,
-    GridSpec,
-    SpectralField,
-    derivative,
-    from_spectral,
-    lp_norm,
-    make_grid,
-    to_spectral,
-)
+from .core import Field, GridSpec, lp_norm, make_grid
 from .errors import (
     ConfigError,
     HypothesisViolationError,

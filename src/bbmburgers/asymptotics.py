@@ -1,9 +1,13 @@
-"""Profile-subtracted error norms along trajectories and decay-rate fits.
+"""Profile-subtracted error norms along trajectories, decay-rate fits and
+the one table of rate claims.
 
 The profile combinations chi, chi+Z, chi+V, chi+Z+V are subtracted
 analytically; the solution itself is differentiated spectrally.  Exponents
 come from least squares of log-values against log(1+t), optionally after
 dividing out a log(1+t) factor, with a Theil-Sen slope reported alongside.
+RATE_CLAIMS states, per alpha branch and combination, the claimed exponent,
+its log power and the kind of test; the harness fits, `bbmburgers rates` and
+optimal_rate_report all read it.
 """
 
 import math
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import MEASUREMENT_FRACTION
 from .errors import ConfigError, HypothesisViolationError
 from .profiles import ProfileSet, V, Z_eval, chi
 from .solver import Trajectory
@@ -19,6 +24,11 @@ __all__ = [
     "ErrorSeries",
     "RateFit",
     "COMBOS",
+    "MEASUREMENT_FRACTION",
+    "RATE_CLAIMS",
+    "RateClaim",
+    "rate_branch",
+    "rate_claim",
     "error_series",
     "error_series_multi",
     "fit_rate",
@@ -70,22 +80,12 @@ def _norm_value(grid, a, norm: str) -> float:
     raise ConfigError(f"unsupported norm '{norm}'; use 'l2' or 'linf'")
 
 
-def _spectral_deriv_values(grid, values, l: int):
-    if l == 0:
-        return values
-    xi = grid.xi_odd if l % 2 else grid.xi
-    return np.fft.ifft((1j * xi) ** l * np.fft.fft(values)).real
-
-
 def _parse_combo(combo: str):
     parts = combo.split("+")
     known = {"chi", "Z", "V"}
     if not parts or any(q not in known for q in parts):
         raise ConfigError(f"unknown profile combination '{combo}'")
     return set(parts)
-
-
-MEASUREMENT_FRACTION = 0.8  # matches the untapered part of the box
 
 
 def error_series_multi(
@@ -128,7 +128,7 @@ def error_series_multi(
             if "V" in parts:
                 base -= v_t
             for l in orders:
-                arr = _spectral_deriv_values(grid, base, l)[mask]
+                arr = grid.deriv(base, l)[mask]
                 if "Z" in parts and t > 0:
                     arr = arr - z_t[l]
                 for nm in norms:
@@ -208,31 +208,108 @@ def window_stability(es: ErrorSeries, window, log_power: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Optimal-rate decision report
+# Rate claims and the optimal-rate decision report
+
+@dataclass(frozen=True)
+class RateClaim:
+    """Claimed law ||d_x^l (u - profiles)||_inf ~ (1+t)^exponent log(1+t)^log_power,
+    judged after scaling the error by its inverse.  The kind owns the test:
+
+    band        two-sided: scaled ratio max/min <= 10, |Theil-Sen slope| <= 0.1
+    improves    the refinement decays faster: slope <= -0.05
+    bounded     the scaled error does not grow: slope <= 0.05
+    diagnostic  fitted and reported, never judged
+    """
+
+    exponent: float
+    log_power: int
+    kind: str
+
+    def judge(self, ratio: float, slope: float) -> dict:
+        if self.kind == "band":
+            return {"ratio_ok": ratio <= 10.0, "slope_ok": abs(slope) <= 0.1}
+        if self.kind == "improves":
+            return {"slope_ok": slope <= -0.05}
+        if self.kind == "bounded":
+            return {"slope_ok": slope <= 0.05, "bounded": slope <= 0.05}
+        return {}
+
+
+def _tail_rate(alpha):
+    return -0.5 * alpha
+
+
+def _diffusive_rate(alpha):
+    return -1.0
+
+
+# (alpha branch, combo) -> (exponent at l = 0 as a function of alpha, log power,
+# kind); derivative order l shifts the exponent by -l/2
+RATE_CLAIMS = {
+    ("alpha_lt_2", "chi"): (_tail_rate, 0, "band"),
+    ("alpha_lt_2", "chi+Z"): (_tail_rate, 0, "improves"),
+    ("alpha_eq_2", "chi"): (_diffusive_rate, 1, "band"),
+    ("alpha_eq_2", "chi+Z"): (_diffusive_rate, 1, "diagnostic"),
+    ("alpha_eq_2", "chi+V"): (_diffusive_rate, 1, "diagnostic"),
+    ("alpha_eq_2", "chi+Z+V"): (_diffusive_rate, 1, "improves"),
+    ("alpha_gt_2", "chi"): (_diffusive_rate, 1, "band"),
+    ("alpha_gt_2", "chi+V"): (_diffusive_rate, 0, "bounded"),
+}
+
+
+def rate_branch(alpha: float) -> str:
+    """The RATE_CLAIMS branch of a tail exponent alpha > 1."""
+    if alpha < 2.0:
+        return "alpha_lt_2"
+    return "alpha_eq_2" if alpha == 2.0 else "alpha_gt_2"
+
+
+def rate_claim(alpha: float, combo: str, l: int = 0) -> RateClaim:
+    """The RATE_CLAIMS entry for one combination and derivative order."""
+    branch = rate_branch(alpha)
+    if (branch, combo) not in RATE_CLAIMS:
+        claimed = [c for b, c in RATE_CLAIMS if b == branch]
+        raise ConfigError(
+            f"no rate claim for '{combo}' at alpha={alpha:g}; claimed: {claimed}"
+        )
+    exponent, log_power, kind = RATE_CLAIMS[(branch, combo)]
+    return RateClaim(exponent(alpha) - 0.5 * l, log_power, kind)
+
 
 _DEGENERATE_FLOOR = 1e-13
 
 
-def _band_stats(times, values, window, scale):
-    sel = (times >= window[0]) & (times <= window[1]) & (times > 0)
-    t = times[sel]
-    r = values[sel] * scale(t)
+def _scaled_entry(es: ErrorSeries, window, claim: RateClaim) -> dict:
+    """Scale the error by the inverse of its claimed law on the window and judge it."""
+    power = -claim.exponent
+    label = f"(1+t)^{power:g}" + ("/log(1+t)" if claim.log_power else "")
+    entry = {"combo": es.combo, "scaling": label}
+    sel = (es.times >= window[0]) & (es.times <= window[1]) & (es.times > 0)
+    t = es.times[sel]
+    scale = (1.0 + t) ** power
+    if claim.log_power:
+        scale = scale / np.log1p(t)
+    r = es.values[sel] * scale
     if np.any(r <= _DEGENERATE_FLOOR):
-        return None, None, r
+        entry["status"] = "degenerate"
+        return entry
+    ratio = float(r.max() / r.min())
     slope = theil_sen_slope(np.log1p(t), np.log(r))
-    return float(r.max() / r.min()), slope, r
+    entry.update(status="ok", ratio=ratio, ts_slope=slope,
+                 scaled_first=float(r[0]), scaled_last=float(r[-1]))
+    entry.update(claim.judge(ratio, slope))
+    return entry
 
 
 def optimal_rate_report(
     traj: Trajectory, ps: ProfileSet, window=None, l: int = 0
 ) -> dict:
-    """Decide the optimal-rate claims for one trajectory and derivative order.
+    """Decide the judged RATE_CLAIMS of one trajectory and derivative order.
 
-    For 1 < alpha < 2 the scaled first-profile error must sit in a band of
-    ratio <= 10 with Theil-Sen slope within +-0.1, and subtracting Z must
-    strictly improve the slope; for alpha >= 2 the log-corrected scaling is
-    used and the V-subtracted error must stay bounded.  Branch hypotheses
-    that fail (kappa = 0, mu1 = 0) mark the affected test not-applicable.
+    The branch's first-profile error (kind band) and its refinement (kind
+    improves or bounded) are scaled by their claimed laws and judged by
+    their kinds.  A log-corrected band also needs the log lower bound
+    (kappa != 0, mu1 != 0); without it the band is marked not-applicable.
     """
     p = traj.params
     alpha = p.alpha
@@ -240,8 +317,8 @@ def optimal_rate_report(
         window = (float(traj.times[traj.times > 0][0]), float(traj.times[-1]))
     if p.mass == 0.0:
         raise HypothesisViolationError("optimal-rate claims require M != 0")
-    slow = 1.0 < alpha < 2.0
-    if slow and (not math.isfinite(ps.mu0) or ps.mu0 == 0.0):
+    branch = rate_branch(alpha)
+    if branch == "alpha_lt_2" and (not math.isfinite(ps.mu0) or ps.mu0 == 0.0):
         raise HypothesisViolationError("1 < alpha < 2 branch requires mu0 != 0")
 
     report = {
@@ -254,83 +331,29 @@ def optimal_rate_report(
             "mu0": None if not math.isfinite(ps.mu0) else ps.mu0,
             "mu1": ps.mu1,
         },
+        "branch": branch,
     }
 
-    if slow:
-        combos = ["chi", "chi+Z"]
-    elif alpha == 2.0:
-        combos = ["chi", "chi+Z+V"]
-    else:
-        combos = ["chi", "chi+V"]
-    series = error_series_multi(traj, ps, combos, orders=(l,), norms=("linf",))
-
-    def scaled_entry(combo, scale, scale_label):
-        es = series[(combo, l, "linf")]
-        ratio, slope, r = _band_stats(es.times, es.values, window, scale)
-        if ratio is None:
-            return {"combo": combo, "scaling": scale_label, "status": "degenerate"}
-        return {
-            "combo": combo,
-            "scaling": scale_label,
-            "status": "ok",
-            "ratio": ratio,
-            "ts_slope": slope,
-            "scaled_first": float(r[0]),
-            "scaled_last": float(r[-1]),
-        }
-
-    half_l = 0.5 * l
-    if slow:
-        pow_scale = 0.5 * alpha + half_l
-        band = scaled_entry(
-            "chi", lambda t: (1.0 + t) ** pow_scale, f"(1+t)^{pow_scale:g}"
-        )
-        if band["status"] == "ok":
-            band["ratio_ok"] = band["ratio"] <= 10.0
-            band["slope_ok"] = abs(band["ts_slope"]) <= 0.1
-        refinement = scaled_entry(
-            "chi+Z", lambda t: (1.0 + t) ** pow_scale, f"(1+t)^{pow_scale:g}"
-        )
-        if refinement["status"] == "ok":
-            refinement["slope_ok"] = refinement["ts_slope"] <= -0.05
-        report["branch"] = "alpha_lt_2"
-    else:
-        log_applicable = ps.kappa != 0.0 and ps.mu1 != 0.0
-        pow_scale = 1.0 + half_l
-
-        def log_scale(t):
-            return (1.0 + t) ** pow_scale / np.log1p(t)
-
-        if log_applicable:
-            band = scaled_entry("chi", log_scale, f"(1+t)^{pow_scale:g}/log(1+t)")
-            if band["status"] == "ok":
-                band["ratio_ok"] = band["ratio"] <= 10.0
-                band["slope_ok"] = abs(band["ts_slope"]) <= 0.1
-        else:
-            band = {
-                "combo": "chi",
+    judged = {
+        combo: rate_claim(alpha, combo, l)
+        for (b, combo), (_, _, kind) in RATE_CLAIMS.items()
+        if b == branch and kind != "diagnostic"
+    }
+    series = error_series_multi(traj, ps, list(judged), orders=(l,), norms=("linf",))
+    log_applicable = ps.kappa != 0.0 and ps.mu1 != 0.0
+    for combo, claim in judged.items():
+        key = "band" if claim.kind == "band" else "refinement"
+        if claim.kind == "band" and claim.log_power and not log_applicable:
+            report[key] = {
+                "combo": combo,
                 "status": "not_applicable",
                 "reason": "kappa = 0 or mu1 = 0: no log lower bound",
             }
-        if alpha == 2.0:
-            refinement = scaled_entry(
-                "chi+Z+V", log_scale, f"(1+t)^{pow_scale:g}/log(1+t)"
-            )
-            if refinement["status"] == "ok":
-                refinement["slope_ok"] = refinement["ts_slope"] <= -0.05
         else:
-            refinement = scaled_entry(
-                "chi+V", lambda t: (1.0 + t) ** pow_scale, f"(1+t)^{pow_scale:g}"
-            )
-            if refinement["status"] == "ok":
-                refinement["slope_ok"] = refinement["ts_slope"] <= 0.05
-                refinement["bounded"] = refinement["slope_ok"]
-        report["branch"] = "alpha_eq_2" if alpha == 2.0 else "alpha_gt_2"
+            report[key] = _scaled_entry(series[(combo, l, "linf")], window, claim)
 
-    report["band"] = band
-    report["refinement"] = refinement
     checks = []
-    for entry in (band, refinement):
+    for entry in (report["band"], report["refinement"]):
         if entry["status"] == "ok":
             checks.extend(v for k, v in entry.items() if k.endswith("_ok"))
     report["passed"] = bool(checks) and all(checks)

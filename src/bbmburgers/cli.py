@@ -5,6 +5,7 @@ Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 instability.
 """
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -100,8 +101,8 @@ def _cmd_rates(args) -> int:
     es = asy.error_series(traj, args.combo, args.l, args.norm, ps)
     window = (args.window[0], args.window[1]) if args.window else (
         float(traj.times[traj.times > 0][0]), float(traj.times[-1]))
-    log_power = 0 if 1.0 < s.alpha < 2.0 else 1
-    fit = asy.fit_rate(es, window, log_power=log_power)
+    claim = asy.rate_claim(s.alpha, args.combo, args.l)
+    fit = asy.fit_rate(es, window, log_power=claim.log_power)
     print(f"combo={args.combo} norm={args.norm} l={args.l} window={window}")
     print(f"  exponent   = {fit.exponent:+.4f}  (log_power={fit.log_power})")
     print(f"  theil_sen  = {fit.theil_sen:+.4f}")
@@ -122,26 +123,26 @@ def _cmd_sweep(args) -> int:
     paths = sorted(glob.glob(args.configs))
     if not paths:
         raise ConfigError(f"no configs match {args.configs!r}")
-    failures = 0
     jobs = [(path, args.out) for path in paths]
+    failures = 0
+
+    def report(path, result):
+        nonlocal failures
+        try:
+            _, bundle_dir = result()
+            print(f"{path} -> {bundle_dir}")
+        except Exception as exc:  # noqa: BLE001 - report, keep sweeping
+            failures += 1
+            print(f"{path} FAILED: {type(exc).__name__}: {exc}")
+
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            futures = {ex.submit(_run_one, job): job[0] for job in jobs}
-            for fut, path in futures.items():
-                try:
-                    _, bundle_dir = fut.result()
-                    print(f"{path} -> {bundle_dir}")
-                except Exception as exc:  # noqa: BLE001 - report, keep sweeping
-                    failures += 1
-                    print(f"{path} FAILED: {exc}")
+            futures = [(job[0], ex.submit(_run_one, job)) for job in jobs]
+            for path, fut in futures:
+                report(path, fut.result)
     else:
         for job in jobs:
-            try:
-                path, bundle_dir = _run_one(job)
-                print(f"{path} -> {bundle_dir}")
-            except Exception as exc:  # noqa: BLE001 - report, keep sweeping
-                failures += 1
-                print(f"{job[0]} FAILED: {exc}")
+            report(job[0], functools.partial(_run_one, job))
     return 1 if failures else 0
 
 

@@ -1,9 +1,11 @@
-"""Periodic grids, real/spectral fields, spectral calculus and discrete norms.
+"""Periodic grids, fields, the spectral layer and discrete norms.
 
 The continuum line is truncated to a periodic box [-L, L).  All transforms
-use the unnormalized engineering FFT convention; normalization lives in the
-norms and in the multiplier definitions, so physical statements do not
-depend on the convention.
+of real fields use the half (rfft) spectrum in the unnormalized engineering
+convention; normalization lives in the norms and in the multiplier
+definitions, so physical statements do not depend on the convention.
+`GridSpec` carries the half-spectrum wavenumbers, the dealias mask and the
+Nyquist band, and `GridSpec.deriv` is the one spectral derivative.
 """
 
 import math
@@ -15,17 +17,20 @@ from .errors import ConfigError, NumericsError
 __all__ = [
     "GridSpec",
     "Field",
-    "SpectralField",
+    "MEASUREMENT_FRACTION",
     "make_grid",
-    "to_spectral",
-    "from_spectral",
-    "derivative",
+    "half_spectrum_energy",
     "lp_norm",
     "smoothstep",
     "smoothstep_deriv",
     "tail_taper",
     "tail_taper_deriv",
 ]
+
+
+# |x| <= MEASUREMENT_FRACTION * L is untapered: the tail taper is 1 there and
+# the error norms are measured there
+MEASUREMENT_FRACTION = 0.8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -47,9 +52,19 @@ class GridSpec:
         Grid points -L + j*dx, j = 0..N-1 (read-only).
     xi : ndarray
         Wavenumbers pi*k/L for k in [-N/2, N/2), FFT ordering (read-only).
+    xi_odd : ndarray
+        xi with the Nyquist mode zeroed, for odd powers of (i*xi).
+    xi_half, xi_half_odd : ndarray
+        The same on the half spectrum of np.fft.rfft, k = 0..N/2 (the
+        Nyquist wavenumber is positive here).
+    dealias : ndarray of bool
+        Half-spectrum modes kept by the 2/3 rule (k < N/3).
+    nyquist_band : ndarray of bool
+        The complement of dealias, where resolution loss shows first.
     """
 
-    __slots__ = ("half_width", "n_points", "dx", "x", "xi", "xi_odd")
+    __slots__ = ("half_width", "n_points", "dx", "x", "xi", "xi_odd", "xi_half",
+                 "xi_half_odd", "dealias", "nyquist_band")
 
     def __init__(self, half_width: float, n_points: int):
         if not (half_width > 0):
@@ -63,14 +78,35 @@ class GridSpec:
         self.dx = 2.0 * L / N
         x = -L + self.dx * np.arange(N)
         xi = 2.0 * np.pi * np.fft.fftfreq(N, d=self.dx)
-        # copy with Nyquist zeroed, for odd powers of (i*xi)
         xi_odd = xi.copy()
         xi_odd[N // 2] = 0.0
-        for arr in (x, xi, xi_odd):
+        xi_half = 2.0 * np.pi * np.fft.rfftfreq(N, d=self.dx)
+        xi_half_odd = xi_half.copy()
+        xi_half_odd[-1] = 0.0
+        dealias = np.arange(xi_half.size) < (N // 3)
+        nyquist_band = ~dealias
+        for arr in (x, xi, xi_odd, xi_half, xi_half_odd, dealias, nyquist_band):
             arr.setflags(write=False)
         self.x = x
         self.xi = xi
         self.xi_odd = xi_odd
+        self.xi_half = xi_half
+        self.xi_half_odd = xi_half_odd
+        self.dealias = dealias
+        self.nyquist_band = nyquist_band
+
+    def deriv(self, values, l: int):
+        """Spectral derivative of order l of real samples on this grid.
+
+        The Nyquist mode is zeroed for odd l, whose multiplier is odd in xi
+        and has no real value there.
+        """
+        if l < 0:
+            raise ConfigError("derivative order must be nonnegative")
+        if l == 0:
+            return values
+        xi = self.xi_half_odd if l % 2 else self.xi_half
+        return np.fft.irfft((1j * xi) ** l * np.fft.rfft(values), n=self.n_points)
 
     def __eq__(self, other):
         return (
@@ -134,51 +170,13 @@ class Field:
         return f"Field({self.grid!r}, max|u|={np.abs(self.values).max():.3e})"
 
 
-class SpectralField:
-    """Complex FFT coefficients of a field, indexed by xi in FFT ordering."""
-
-    __slots__ = ("grid", "coefficients")
-
-    def __init__(self, grid: GridSpec, coefficients):
-        c = np.asarray(coefficients, dtype=np.complex128)
-        if c.shape != (grid.n_points,):
-            raise ConfigError(
-                f"coefficients shape {c.shape} does not match grid N={grid.n_points}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise NumericsError("SpectralField contains non-finite coefficients")
-        c = c.copy()
-        c.setflags(write=False)
-        self.grid = grid
-        self.coefficients = c
-
-
-def to_spectral(f: Field) -> SpectralField:
-    """Forward FFT of a real field (unnormalized convention)."""
-    return SpectralField(f.grid, np.fft.fft(f.values))
-
-
-def from_spectral(F: SpectralField) -> Field:
-    """Inverse FFT; the coefficients must represent a real field."""
-    v = np.fft.ifft(F.coefficients)
-    scale = max(1.0, float(np.abs(v.real).max()))
-    if np.abs(v.imag).max() > 1e-8 * scale:
-        raise NumericsError(
-            "spectrum is not conjugate-symmetric: inverse transform is complex"
-        )
-    return Field(F.grid, v.real)
-
-
-def derivative(f: Field, l: int) -> Field:
-    """Spectral derivative of order l; the Nyquist mode is zeroed for odd l."""
-    if l < 0:
-        raise ConfigError("derivative order must be nonnegative")
-    if l == 0:
-        return f
-    g = f.grid
-    xi = g.xi_odd if l % 2 else g.xi
-    mult = (1j * xi) ** l
-    return Field(g, np.fft.ifft(mult * np.fft.fft(f.values)).real)
+def half_spectrum_energy(hat):
+    """|c_k|^2 per half-spectrum mode of a real field, counting each interior
+    mode twice (for +k and -k), so the sum is Parseval's full-spectrum sum."""
+    e = 2.0 * np.abs(hat) ** 2
+    e[0] *= 0.5
+    e[-1] *= 0.5
+    return e
 
 
 def lp_norm(f: Field, p) -> float:
@@ -222,16 +220,17 @@ def smoothstep_deriv(s):
     return out
 
 
-def tail_taper(grid: GridSpec, flat_frac: float = 0.8):
-    """C-infinity cutoff: 1 on [-flat_frac*L, flat_frac*L], 0 at the box edges."""
+def tail_taper(grid: GridSpec):
+    """C-infinity cutoff: 1 on the measurement window |x| <= MEASUREMENT_FRACTION*L,
+    0 at the box edges."""
     L = grid.half_width
-    ramp = (1.0 - flat_frac) * L
+    ramp = (1.0 - MEASUREMENT_FRACTION) * L
     return smoothstep((L - np.abs(grid.x)) / ramp)
 
 
-def tail_taper_deriv(grid: GridSpec, flat_frac: float = 0.8):
+def tail_taper_deriv(grid: GridSpec):
     """x-derivative of tail_taper."""
     L = grid.half_width
-    ramp = (1.0 - flat_frac) * L
+    ramp = (1.0 - MEASUREMENT_FRACTION) * L
     s = (L - np.abs(grid.x)) / ramp
     return smoothstep_deriv(s) * (-np.sign(grid.x) / ramp)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics as asy
-from .core import Field, GridSpec, lp_norm, make_grid, smoothstep, smoothstep_deriv, \
-    tail_taper, tail_taper_deriv
+from .core import MEASUREMENT_FRACTION, Field, GridSpec, lp_norm, make_grid, \
+    smoothstep, smoothstep_deriv, tail_taper, tail_taper_deriv
 from .errors import ConfigError, HypothesisViolationError
 from .profiles import (
     ModelParams,
@@ -210,10 +210,10 @@ def data_report(s: Scenario, u0: Field) -> dict:
     grid = u0.grid
     x = grid.x
     mass = u0.mass()
-    untapered = np.abs(x) <= 0.8 * grid.half_width
+    untapered = np.abs(x) <= MEASUREMENT_FRACTION * grid.half_width
     weight = (1.0 + np.abs(x[untapered])) ** s.alpha
     C_tail = float((np.abs(u0.values[untapered]) * weight).max())
-    du = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(u0.values)).real
+    du = grid.deriv(u0.values, 1)
     return {
         "mass": mass,
         "mass_error": abs(mass - s.mass),
@@ -227,13 +227,6 @@ def data_report(s: Scenario, u0: Field) -> dict:
 
 # ---------------------------------------------------------------------------
 # Experiment pipeline
-
-def _claimed_fit(alpha: float, combo: str, l: int):
-    """(log_power, claimed exponent) for the fit of one error series."""
-    if 1.0 < alpha < 2.0:
-        return 0, -0.5 * alpha - 0.5 * l
-    return 1, -1.0 - 0.5 * l
-
 
 def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True):
     """Run one scenario end to end and (optionally) write the bundle.
@@ -275,16 +268,17 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
     window = (float(traj.times[positive][0]), float(traj.times[-1]))
     fits = {}
     for (combo, l, nm), es in series.items():
-        log_power, claimed = _claimed_fit(s.alpha, combo, l)
+        claim = asy.rate_claim(s.alpha, combo, l)
         try:
-            fit = asy.fit_rate(es, window, log_power=log_power)
-            stability = asy.window_stability(es, window, log_power=log_power)
+            fit = asy.fit_rate(es, window, log_power=claim.log_power)
+            stability = asy.window_stability(es, window, log_power=claim.log_power)
             fits[f"{combo}|{nm}|l{l}"] = {
                 "combo": combo,
                 "norm": nm,
                 "l": l,
-                "log_power": log_power,
-                "claimed_exponent": claimed,
+                "log_power": claim.log_power,
+                "claimed_exponent": claim.exponent,
+                "claim_kind": claim.kind,
                 "exponent_tolerance": 0.1,
                 "exponent": fit.exponent,
                 "theil_sen": fit.theil_sen,
@@ -350,9 +344,9 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
             fh.write("\n")
         paths["report"] = report_path
         for (combo, l, nm), es in series.items():
-            log_power, claimed = _claimed_fit(s.alpha, combo, l)
-            scale = (1.0 + es.times) ** (-claimed)
-            if log_power == 1:
+            claim = asy.rate_claim(s.alpha, combo, l)
+            scale = (1.0 + es.times) ** (-claim.exponent)
+            if claim.log_power == 1:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     scale = np.where(es.times > 0, scale / np.log1p(es.times), np.nan)
             fname = f"{combo.replace('+', '_')}_{nm}_l{l}.csv"

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate as spi
 from scipy.interpolate import CubicSpline
 
-from .core import Field, SpectralField, from_spectral, lp_norm, to_spectral
+from .core import Field, half_spectrum_energy, lp_norm
 from .errors import ConfigError, MassMismatchError
 from .profiles import ModelParams, chi, eta, panel_gauss_nodes
 
@@ -43,8 +43,9 @@ def g_multiplier(xi, t: float):
 
 
 def _apply_multiplier(f: Field, mult) -> Field:
-    F = to_spectral(f)
-    return from_spectral(SpectralField(f.grid, mult * F.coefficients))
+    """Apply a half-spectrum multiplier to a real field."""
+    values = np.fft.irfft(mult * np.fft.rfft(f.values), n=f.grid.n_points)
+    return Field(f.grid, values)
 
 
 def T_apply(f: Field, t: float, p: ModelParams) -> Field:
@@ -52,14 +53,14 @@ def T_apply(f: Field, t: float, p: ModelParams) -> Field:
     if t < 0:
         raise ConfigError("t must be nonnegative")
     g = f.grid
-    return _apply_multiplier(f, t_multiplier(g.xi, g.xi_odd, t, p.gamma))
+    return _apply_multiplier(f, t_multiplier(g.xi_half, g.xi_half_odd, t, p.gamma))
 
 
 def G_apply(f: Field, t: float) -> Field:
     """Apply the heat semigroup over time t >= 0."""
     if t < 0:
         raise ConfigError("t must be nonnegative")
-    return _apply_multiplier(f, g_multiplier(f.grid.xi, t))
+    return _apply_multiplier(f, g_multiplier(f.grid.xi_half, t))
 
 
 def TG_gap(f: Field, t: float, p: ModelParams, l: int = 0) -> float:
@@ -67,15 +68,15 @@ def TG_gap(f: Field, t: float, p: ModelParams, l: int = 0) -> float:
     if t < 0:
         raise ConfigError("t must be nonnegative")
     g = f.grid
-    diff = t_multiplier(g.xi, g.xi_odd, t, p.gamma) - g_multiplier(g.xi, t)
-    xi = g.xi_odd if l % 2 else g.xi
-    spec = (1j * xi) ** l * diff * np.fft.fft(f.values)
-    return float(math.sqrt(g.dx / g.n_points * float(np.vdot(spec, spec).real)))
+    diff = t_multiplier(g.xi_half, g.xi_half_odd, t, p.gamma) - g_multiplier(g.xi_half, t)
+    xi = g.xi_half_odd if l % 2 else g.xi_half
+    spec = (1j * xi) ** l * diff * np.fft.rfft(f.values)
+    return float(math.sqrt(g.dx / g.n_points * float(half_spectrum_energy(spec).sum())))
 
 
 def helmholtz_inv(f: Field) -> Field:
     """(1 - d_xx)^{-1} via the multiplier 1/(1 + xi^2)."""
-    return _apply_multiplier(f, 1.0 / (1.0 + f.grid.xi**2))
+    return _apply_multiplier(f, 1.0 / (1.0 + f.grid.xi_half**2))
 
 
 def _trig_values(f: Field, s):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Field, GridSpec
+from .core import Field, GridSpec, half_spectrum_energy
 from .errors import ConfigError, InstabilityError
 from .profiles import ModelParams, chi, chi_xx
 
@@ -84,33 +84,22 @@ class _EtdCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Spectral workspace on the half (rfft) spectrum
+# Half-spectrum multipliers
 
-class _Workspace:
-    def __init__(self, grid: GridSpec):
-        N = grid.n_points
-        xi = 2.0 * np.pi * np.fft.rfftfreq(N, d=grid.dx)
-        xi_odd = xi.copy()
-        xi_odd[-1] = 0.0  # Nyquist zeroed for odd multipliers
-        self.grid = grid
-        self.xi = xi
-        self.xi_odd = xi_odd
-        self.dealias = np.arange(xi.size) < (N // 3)
-        self.band = np.arange(xi.size) >= (N // 3)
+def _bbmb_linear(grid: GridSpec, gamma: float):
+    xi2 = grid.xi_half**2
+    return (-xi2 + 1j * gamma * grid.xi_half_odd * xi2) / (1.0 + xi2)
 
-    def bbmb_linear(self, gamma: float):
-        xi2 = self.xi**2
-        return (-xi2 + 1j * gamma * self.xi_odd * xi2) / (1.0 + xi2)
 
-    def heat_linear(self):
-        return -(self.xi**2) + 0.0j
+def _nonlinear_multiplier(grid: GridSpec, beta: float):
+    """-(beta/2) i xi / (1 + xi^2), the symbol of -(beta/2) d_x (1 - d_xx)^{-1}
+    acting on u^2, zeroed outside the 2/3-rule band."""
+    mult = -(0.5 * beta) * 1j * grid.xi_half_odd / (1.0 + grid.xi_half**2)
+    return np.where(grid.dealias, mult, 0.0)
 
 
 def _nyquist_fraction(uhat, band):
-    w = np.full(uhat.size, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    e = w * np.abs(uhat) ** 2
+    e = half_spectrum_energy(uhat)
     total = e.sum()
     return float(e[band].sum() / total) if total > 0.0 else 0.0
 
@@ -152,18 +141,15 @@ def _march(uhat, t0, n_steps, coeffs: _EtdCoeffs, nl, threshold, band):
 
 def rhs_nonlinear(u: Field, p: ModelParams) -> Field:
     """-(beta/2) d_x (1 - d_xx)^{-1} (u^2), with 2/3-rule dealiasing of u^2."""
-    ws = _Workspace(u.grid)
+    g = u.grid
     sq_hat = np.fft.rfft(u.values * u.values)
-    mult = -(0.5 * p.beta) * 1j * ws.xi_odd / (1.0 + ws.xi**2)
-    out = np.fft.irfft(np.where(ws.dealias, mult * sq_hat, 0.0), n=u.grid.n_points)
-    return Field(u.grid, out)
+    out = np.fft.irfft(_nonlinear_multiplier(g, p.beta) * sq_hat, n=g.n_points)
+    return Field(g, out)
 
 
-def _bbmb_nl(ws: _Workspace, p: ModelParams):
-    mult = np.where(
-        ws.dealias, -(0.5 * p.beta) * 1j * ws.xi_odd / (1.0 + ws.xi**2), 0.0
-    )
-    N = ws.grid.n_points
+def _bbmb_nl(grid: GridSpec, p: ModelParams):
+    mult = _nonlinear_multiplier(grid, p.beta)
+    N = grid.n_points
 
     def nl(uhat, t):
         u = np.fft.irfft(uhat, n=N)
@@ -185,13 +171,13 @@ def step_etdrk4(u: Field, t: float, dt: float, p: ModelParams) -> Field:
     amp = float(np.abs(u.values).max())
     if dt > _dt_max_bbmb(p, amp):
         raise ConfigError(f"dt={dt} exceeds the stability guard for this state")
-    ws = _Workspace(u.grid)
-    coeffs = _EtdCoeffs(ws.bbmb_linear(p.gamma), dt)
+    g = u.grid
+    coeffs = _EtdCoeffs(_bbmb_linear(g, p.gamma), dt)
     uhat = np.fft.rfft(u.values)
     init = float(np.abs(uhat).max())
     threshold = _BLOWUP_FACTOR * init if init > 0.0 else math.inf
-    uhat, _ = _march(uhat, t, 1, coeffs, _bbmb_nl(ws, p), threshold, ws.band)
-    return Field(u.grid, np.fft.irfft(uhat, n=u.grid.n_points))
+    uhat, _ = _march(uhat, t, 1, coeffs, _bbmb_nl(g, p), threshold, g.nyquist_band)
+    return Field(g, np.fft.irfft(uhat, n=g.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ def _check_samples(grid: GridSpec, t_samples) -> np.ndarray:
 
 
 def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
-    ws_band = _Workspace(grid).band
+    band = grid.nyquist_band
     dx = grid.dx
     uhat = np.fft.rfft(u0_values)
     init = float(np.abs(uhat).max())
@@ -257,7 +243,7 @@ def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
         times.append(t)
         snaps.append(f)
         masses.append(dx * u.sum())
-        fracs.append(_nyquist_fraction(uhat, ws_band))
+        fracs.append(_nyquist_fraction(uhat, band))
         if fracs[-1] >= 1e-6:
             raise InstabilityError(
                 f"Nyquist-band energy fraction {fracs[-1]:.2e} at t={t:.4g}: "
@@ -281,7 +267,7 @@ def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
                 coeff_cache[dt_seg] = _EtdCoeffs(linear, dt_seg)
             try:
                 new_hat, nyq = _march(
-                    uhat, t_prev, n, coeff_cache[dt_seg], nl, threshold, ws_band
+                    uhat, t_prev, n, coeff_cache[dt_seg], nl, threshold, band
                 )
             except InstabilityError:
                 halvings += 1
@@ -329,9 +315,9 @@ def integrate(
     dt_target = dt if dt is not None else min(0.1, 0.5 * u0.grid.dx / max(1.0, amp))
     if dt_target <= 0 or dt_target > _dt_max_bbmb(p, max(amp, 1e-12)):
         raise ConfigError(f"dt={dt_target} outside the stability guard")
-    ws = _Workspace(u0.grid)
+    g = u0.grid
     return _run_trajectory(
-        u0.grid, p, u0.values, ts, dt_target, ws.bbmb_linear(p.gamma), _bbmb_nl(ws, p)
+        g, p, u0.values, ts, dt_target, _bbmb_linear(g, p.gamma), _bbmb_nl(g, p)
     )
 
 
@@ -356,11 +342,11 @@ class _ChiCache:
         return got
 
 
-def _aux_nl(ws: _Workspace, p: ModelParams, lam):
-    chi_at = _ChiCache(ws.grid, p)
-    dxi = np.where(ws.dealias, 1j * ws.xi_odd, 0.0)
-    dxi_full = 1j * ws.xi_odd
-    N = ws.grid.n_points
+def _aux_nl(grid: GridSpec, p: ModelParams, lam):
+    chi_at = _ChiCache(grid, p)
+    dxi = np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
+    dxi_full = 1j * grid.xi_half_odd
+    N = grid.n_points
 
     def nl(zhat, t):
         z = np.fft.irfft(zhat, n=N)
@@ -398,22 +384,22 @@ def solve_aux(
     """
     ts = _check_samples(z0.grid, t_samples)
     amp = float(np.abs(z0.values).max())
-    ws = _Workspace(z0.grid)
-    chi_peak = float(np.abs(chi(z0.grid.x, 0.0, p)).max())
-    dt_guard = _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * ws.xi[-1], 1e-12)
+    g = z0.grid
+    chi_peak = float(np.abs(chi(g.x, 0.0, p)).max())
+    dt_guard = _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * g.xi_half[-1], 1e-12)
     dt_target = dt if dt is not None else min(
-        0.1, 0.5 * z0.grid.dx / max(1.0, amp), 0.5 * dt_guard
+        0.1, 0.5 * g.dx / max(1.0, amp), 0.5 * dt_guard
     )
     if dt_target > dt_guard:
         raise ConfigError(f"dt={dt_target} exceeds the convection stability guard")
     return _run_trajectory(
-        z0.grid,
+        g,
         p,
         z0.values,
         ts,
         dt_target,
-        ws.heat_linear(),
-        _aux_nl(ws, p, _lam_values(lam)),
+        -(g.xi_half**2) + 0.0j,
+        _aux_nl(g, p, _lam_values(lam)),
     )
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bbmburgers import Field, InstabilityError, ModelParams, make_grid
+from bbmburgers import profiles as pr
 from bbmburgers import solver as sv
+from bbmburgers.core import MEASUREMENT_FRACTION
 
 
 @pytest.fixture
@@ -43,6 +45,29 @@ def flaky_march(monkeypatch):
         monkeypatch.setattr(sv, "_march", march)
 
     return install
+
+
+@pytest.fixture(scope="session")
+def second_aux_bundle():
+    """solve_second_aux at beta = gamma = 1, alpha = 3, M = 0.5 on L = 200,
+    N = 8192, 21 samples on [1, 400], with the v - V gaps: max|d_x^l (v - V)|
+    on the measurement window for l = 0, 1 and max|v - V| on the whole box."""
+    p = ModelParams(beta=1.0, gamma=1.0, alpha=3.0, mass=0.5)
+    grid = make_grid(200.0, 8192)
+    times = np.geomspace(1.0, 400.0, 21)
+    traj = sv.solve_second_aux(p, grid, times)
+    ps = pr.constants(p)
+    mask = np.abs(grid.x) <= MEASUREMENT_FRACTION * grid.half_width
+    gaps = {0: [], 1: []}
+    full_gap = []
+    for t, snap in zip(traj.times, traj.snapshots):
+        gap0 = snap.values - pr.V(grid.x, t, p, ps)
+        gap1 = grid.deriv(snap.values, 1) - pr.V_x(grid.x, t, p, ps)
+        gaps[0].append(np.abs(gap0[mask]).max())
+        gaps[1].append(np.abs(gap1[mask]).max())
+        full_gap.append(np.abs(gap0).max())
+    return {"traj": traj, "gaps": {l: np.asarray(v) for l, v in gaps.items()},
+            "full_gap": np.asarray(full_gap)}
 
 
 def band_limited(grid, rng, n_modes=16, amplitude=1.0):

@@ -12,17 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from bbmburgers import ModelParams, make_grid
 from bbmburgers import checks
 from bbmburgers import harness as hn
 from bbmburgers import profiles as pr
 from bbmburgers import solver as sv
-from bbmburgers.asymptotics import (
-    MEASUREMENT_FRACTION,
-    error_series_multi,
-    fit_rate,
-    theil_sen_slope,
-)
+from bbmburgers.asymptotics import error_series_multi, fit_rate, theil_sen_slope
 
 WINDOW = (20.0, 1000.0)
 
@@ -91,28 +85,6 @@ def alpha2_bundle():
                     mass=0.3, data_kind="prescribed_r0", c_plus=1.0, c_minus=1.0,
                     t_samples=list(np.geomspace(1.0, 1000.0, 33)))
     return _run_scenario(s, ["chi", "chi+Z+V"])
-
-
-@pytest.fixture(scope="module")
-def second_aux_bundle():
-    p = ModelParams(beta=1.0, gamma=1.0, alpha=3.0, mass=0.5)
-    grid = make_grid(200.0, 8192)
-    times = np.geomspace(1.0, 400.0, 21)
-    traj = sv.solve_second_aux(p, grid, times)
-    ps = pr.constants(p)
-    mask = np.abs(grid.x) <= MEASUREMENT_FRACTION * grid.half_width
-    gaps = {}
-    for l in (0, 1):
-        vals = []
-        for t, snap in zip(traj.times, traj.snapshots):
-            if l == 0:
-                arr = snap.values - pr.V(grid.x, t, p, ps)
-            else:
-                dv = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(snap.values)).real
-                arr = dv - pr.V_x(grid.x, t, p, ps)
-            vals.append(np.abs(arr[mask]).max())
-        gaps[l] = np.asarray(vals)
-    return {"traj": traj, "gaps": gaps}
 
 
 # ---------------------------------------------------------------------------

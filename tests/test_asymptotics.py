@@ -137,6 +137,28 @@ class TestTheilSen:
         assert abs(asy.theil_sen_slope(x, y) - 2.0) < 0.1
 
 
+class TestRateClaims:
+    def test_derivative_order_shifts_exponent(self):
+        assert asy.rate_claim(1.5, "chi", 1) == asy.RateClaim(-1.25, 0, "band")
+        assert asy.rate_claim(3.0, "chi+V", 1) == asy.RateClaim(-1.5, 0, "bounded")
+        assert asy.rate_claim(2.0, "chi+Z+V", 0) == asy.RateClaim(-1.0, 1, "improves")
+
+    def test_unclaimed_combo_rejected(self):
+        with pytest.raises(ConfigError):
+            asy.rate_claim(1.5, "chi+V")
+        with pytest.raises(ConfigError):
+            asy.rate_claim(3.0, "chi+Z")
+
+    def test_kinds_own_their_thresholds(self):
+        band = asy.RateClaim(-1.0, 1, "band")
+        assert band.judge(10.0, -0.1) == {"ratio_ok": True, "slope_ok": True}
+        assert band.judge(10.5, 0.0) == {"ratio_ok": False, "slope_ok": True}
+        assert asy.RateClaim(-1.0, 1, "improves").judge(1.0, -0.04) == {"slope_ok": False}
+        assert asy.RateClaim(-1.0, 0, "bounded").judge(1.0, 0.05) == {
+            "slope_ok": True, "bounded": True}
+        assert asy.RateClaim(-1.0, 1, "diagnostic").judge(1e3, 1.0) == {}
+
+
 class TestOptimalRateReport:
     def _wave_plus_z_traj(self, ps, times, g, p):
         def field(t):

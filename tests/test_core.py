@@ -1,19 +1,22 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbmburgers import (
-    ConfigError,
-    Field,
-    derivative,
-    from_spectral,
-    lp_norm,
-    make_grid,
-    to_spectral,
+from bbmburgers import ConfigError, Field, lp_norm, make_grid
+from bbmburgers.core import (
+    half_spectrum_energy,
+    smoothstep,
+    smoothstep_deriv,
+    tail_taper,
 )
-from bbmburgers.core import smoothstep, smoothstep_deriv, tail_taper
 from conftest import band_limited
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bbmburgers"
 
 
 class TestMakeGrid:
@@ -43,35 +46,37 @@ class TestMakeGrid:
 
 class TestTransforms:
     def test_cosine_has_two_modes(self):
+        # the +-k pair is one half-spectrum coefficient, counted twice
         g = make_grid(16.0, 64)
-        f = Field(g, np.cos(np.pi * g.x / g.half_width))
-        F = to_spectral(f)
-        nz = np.abs(F.coefficients) > 1e-9 * g.n_points
-        assert nz.sum() == 2
-        assert set(np.round(g.xi[nz] / (np.pi / 16.0)).astype(int)) == {1, -1}
+        hat = np.fft.rfft(np.cos(np.pi * g.x / g.half_width))
+        assert hat.size == g.xi_half.size == g.n_points // 2 + 1
+        nz = np.abs(hat) > 1e-9 * g.n_points
+        assert nz.sum() == 1
+        assert np.round(g.xi_half[nz] / (np.pi / 16.0)).astype(int).tolist() == [1]
+        e = half_spectrum_energy(hat)
+        assert e[nz][0] == pytest.approx(2.0 * (g.n_points / 2) ** 2, rel=1e-12)
 
-    def test_zero_field(self, grid40):
-        F = to_spectral(Field(grid40, np.zeros(grid40.n_points)))
-        assert np.all(F.coefficients == 0)
+    def test_half_spectrum_arrays(self):
+        g = make_grid(16.0, 64)
+        assert np.array_equal(g.xi_half[:-1], g.xi[: g.n_points // 2])
+        assert g.xi_half[-1] == -g.xi[g.n_points // 2] > 0  # Nyquist, sign flipped
+        assert g.xi_half_odd[-1] == 0.0
+        assert np.array_equal(g.xi_half_odd[:-1], g.xi_half[:-1])
+        assert np.array_equal(g.dealias, np.arange(g.xi_half.size) < g.n_points // 3)
+        assert np.array_equal(g.nyquist_band, ~g.dealias)
 
     def test_roundtrip_random(self, grid40, rng):
-        f = Field(grid40, rng.standard_normal(grid40.n_points))
-        back = from_spectral(to_spectral(f))
-        assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
+        v = rng.standard_normal(grid40.n_points)
+        back = np.fft.irfft(np.fft.rfft(v), n=grid40.n_points)
+        assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
 
     def test_parseval(self, grid40, rng):
-        f = band_limited(grid40, rng)
-        F = to_spectral(f)
-        lhs = lp_norm(f, 2) ** 2
-        rhs = grid40.dx / grid40.n_points * float((np.abs(F.coefficients) ** 2).sum())
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
-
-    def test_conjugate_symmetry(self, grid40, rng):
+        # random samples carry Nyquist content, which counts once
         f = Field(grid40, rng.standard_normal(grid40.n_points))
-        c = to_spectral(f).coefficients
-        scale = np.abs(c).max()
-        for k in range(1, grid40.n_points // 2):
-            assert abs(c[k] - np.conj(c[-k])) <= 1e-12 * scale
+        lhs = lp_norm(f, 2) ** 2
+        energy = half_spectrum_energy(np.fft.rfft(f.values)).sum()
+        rhs = grid40.dx / grid40.n_points * float(energy)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
     def test_non_finite_rejected(self, grid40):
         v = np.zeros(grid40.n_points)
@@ -84,32 +89,43 @@ class TestDerivative:
     def test_sine(self):
         g = make_grid(16.0, 512)
         k = np.pi / g.half_width
-        f = Field(g, np.sin(k * g.x))
-        out = derivative(f, 1)
-        assert np.abs(out.values - k * np.cos(k * g.x)).max() < 1e-10
+        out = g.deriv(np.sin(k * g.x), 1)
+        assert np.abs(out - k * np.cos(k * g.x)).max() < 1e-10
 
     def test_constant(self, grid40):
-        f = Field(grid40, np.full(grid40.n_points, 3.7))
+        v = np.full(grid40.n_points, 3.7)
         for l in (1, 2, 3):
-            assert np.abs(derivative(f, l).values).max() < 1e-12
+            assert np.abs(grid40.deriv(v, l)).max() < 1e-12
 
     def test_gaussian_second_derivative(self):
         g = make_grid(40.0, 2048)
-        f = Field(g, np.exp(-g.x**2 / 4.0))
+        v = np.exp(-g.x**2 / 4.0)
         exact = (g.x**2 / 4.0 - 0.5) * np.exp(-g.x**2 / 4.0)
-        assert np.abs(derivative(f, 2).values - exact).max() < 1e-8
+        assert np.abs(g.deriv(v, 2) - exact).max() < 1e-8
 
     def test_composition(self, grid40, rng):
-        f = band_limited(grid40, rng)
-        twice = derivative(derivative(f, 1), 1)
-        once = derivative(f, 2)
-        scale = max(1.0, np.abs(once.values).max())
-        assert np.abs(twice.values - once.values).max() <= 1e-10 * scale
+        v = band_limited(grid40, rng).values
+        twice = grid40.deriv(grid40.deriv(v, 1), 1)
+        once = grid40.deriv(v, 2)
+        scale = max(1.0, np.abs(once).max())
+        assert np.abs(twice - once).max() <= 1e-10 * scale
 
     def test_negative_order_rejected(self, grid40):
-        f = Field(grid40, np.zeros(grid40.n_points))
         with pytest.raises(ConfigError):
-            derivative(f, -1)
+            grid40.deriv(np.zeros(grid40.n_points), -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), l=st.integers(0, 3),
+           log2_n=st.integers(4, 9), nyquist=st.floats(-1.0, 1.0))
+    def test_matches_full_spectrum_route(self, seed, l, log2_n, nyquist):
+        # the full complex FFT route with Nyquist zeroed only for odd l
+        g = make_grid(10.0, 2**log2_n)
+        v = np.random.default_rng(seed).standard_normal(g.n_points)
+        v += nyquist * np.cos(np.pi * np.arange(g.n_points))
+        xi = g.xi_odd if l % 2 else g.xi
+        ref = np.fft.ifft((1j * xi) ** l * np.fft.fft(v)).real
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(g.deriv(v, l) - ref).max() <= 1e-12 * scale
 
 
 class TestNorms:
@@ -163,3 +179,42 @@ class TestCutoffs:
         flat = np.abs(grid40.x) <= 0.8 * grid40.half_width
         assert np.all(t[flat] == 1.0)
         assert t[0] == 0.0  # x = -L
+
+
+class _FullFftFinder(ast.NodeVisitor):
+    """Records `<x>.fft.fft` / `<x>.fft.ifft` uses with their enclosing function."""
+
+    def __init__(self):
+        self.where = ["<module>"]
+        self.hits = []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr in ("fft", "ifft") and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"):
+            self.hits.append((node.lineno, self.where[-1]))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if (node.module or "").endswith("fft") and \
+                {a.name for a in node.names} & {"fft", "ifft"}:
+            self.hits.append((node.lineno, self.where[-1]))
+
+
+class TestSpectralLayer:
+    ALLOWED = {("semigroup.py", "_trig_values")}  # the interpolation oracle
+
+    def test_full_complex_fft_only_in_core(self):
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "core.py":
+                continue
+            finder = _FullFftFinder()
+            finder.visit(ast.parse(path.read_text()))
+            offenders += [f"{path.name}:{line} in {func}" for line, func in finder.hits
+                          if (path.name, func) not in self.ALLOWED]
+        assert not offenders, offenders

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bbmburgers import ConfigError, make_grid
+from bbmburgers import asymptotics as asy
 from bbmburgers import cli
 from bbmburgers import harness as hn
 from bbmburgers import profiles as pr
@@ -151,6 +152,27 @@ class TestRunExperiment:
         bundle = hn.run_experiment(s, out_root=str(tmp_path / "out"))
         assert bundle["report"]["cross_checks"]["linear_oracle_gap"] < 1e-10
 
+    def test_bounded_claim_fitted_without_log(self, tmp_path):
+        # alpha > 2 claims (1+t)||u - chi - V|| bounded: exponent -1, no log
+        s = tiny_scenario(alpha=3.0, t_samples=list(np.geomspace(1.0, 50.0, 12)))
+        bundle = hn.run_experiment(s, out_root=str(tmp_path))
+        with open(bundle["paths"]["report"]) as fh:
+            fit = json.load(fh)["fits"]["chi+V|linf|l0"]
+        assert fit["log_power"] == 0
+        assert fit["claim_kind"] == "bounded"
+        assert fit["claimed_exponent"] == -1.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_every_emitted_combo_has_a_claim(self, alpha):
+        s = tiny_scenario(alpha=alpha, data_kind="prescribed_r0", c_plus=1.0,
+                          c_minus=-1.0, L=50.0, N=1024,
+                          t_samples=list(np.geomspace(1.0, 36.0, 9)))
+        series = hn.run_experiment(s, write=False, out_root=None)["series"]
+        combos = {combo for combo, _, _ in series}
+        assert "chi" in combos and len(combos) >= 2
+        for combo in combos:
+            assert (asy.rate_branch(alpha), combo) in asy.RATE_CLAIMS
+
     def test_validity_window_refused_up_front(self):
         s = tiny_scenario(t_samples=[1.0, 1e5])
         with pytest.raises(ConfigError):
@@ -188,6 +210,16 @@ class TestCli:
         assert rc == 0
         assert "exponent" in capsys.readouterr().out
 
+    def test_rates_reads_claim_table(self, tmp_path, capsys):
+        s = tiny_scenario()  # alpha = 2.5
+        assert hn.run_experiment(s, out_root=str(tmp_path))
+        bundle_dir = os.path.join(str(tmp_path), hn.scenario_hash(s))
+        args = ["rates", "--bundle", bundle_dir, "--norm", "linf", "--l", "0"]
+        assert cli.main(args + ["--combo", "chi+V"]) == 0
+        assert "log_power=0" in capsys.readouterr().out
+        assert cli.main(args + ["--combo", "chi"]) == 0
+        assert "log_power=1" in capsys.readouterr().out
+
     def test_kernel_table(self, tmp_path):
         out = tmp_path / "kernel.csv"
         rc = cli.main(["kernel-table", "--t", "2.0", "--gamma", "1.0",
@@ -209,3 +241,13 @@ class TestCli:
         rc = cli.main(["sweep", "--configs", str(tmp_path / "*.json"),
                        "--jobs", "1", "--out", out])
         assert rc == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_failure_names_exception_type(self, tmp_path, capsys, jobs):
+        doc = json.loads(tiny_scenario().canonical_json())
+        doc["data_kind"] = "nonsense"
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        rc = cli.main(["sweep", "--configs", str(tmp_path / "*.json"),
+                       "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "bad.json FAILED: ConfigError: unknown data_kind" in capsys.readouterr().out

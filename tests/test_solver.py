@@ -187,17 +187,10 @@ class TestSolveSecondAux:
             sv.solve_second_aux(ModelParams(1.0, 1.0, 1.5, 1.5), grid60, [1.0])
 
     @pytest.mark.slow
-    def test_tracks_log_profile(self):
+    def test_tracks_log_profile(self, second_aux_bundle):
         # (1+t) ||v - V||_inf stays bounded (no growth trend)
-        p = ModelParams(1.0, 1.0, 3.0, 0.5)
-        g = make_grid(200.0, 8192)
-        times = np.geomspace(1.0, 400.0, 21)
-        traj = sv.solve_second_aux(p, g, times)
-        ps = pr.constants(p)
-        vals = np.array([
-            np.abs(s.values - pr.V(g.x, t, p, ps)).max()
-            for t, s in zip(traj.times, traj.snapshots)
-        ])
+        traj = second_aux_bundle["traj"]
+        vals = second_aux_bundle["full_gap"]
         sel = traj.times >= 10.0
         scaled = (1.0 + traj.times[sel]) * vals[sel]
         from bbmburgers.asymptotics import theil_sen_slope
