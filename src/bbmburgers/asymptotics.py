@@ -12,6 +12,7 @@ optimal_rate_report all read it.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -225,9 +226,12 @@ class RateClaim:
     log_power: int
     kind: str
 
+    BAND_SLOPE_TOL: ClassVar[float] = 0.1  # reported with band fits in report.json
+
     def judge(self, ratio: float, slope: float) -> dict:
         if self.kind == "band":
-            return {"ratio_ok": ratio <= 10.0, "slope_ok": abs(slope) <= 0.1}
+            return {"ratio_ok": ratio <= 10.0,
+                    "slope_ok": abs(slope) <= self.BAND_SLOPE_TOL}
         if self.kind == "improves":
             return {"slope_ok": slope <= -0.05}
         if self.kind == "bounded":

@@ -59,6 +59,10 @@ def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         s = scenario_from_json(json.load(fh))
     bundle = run_experiment(s, out_root=args.out)
+    solver = bundle["report"]["solver"]
+    print(f"solver: {solver['segments']} segments, {solver['steps_accepted']} steps "
+          f"accepted, {solver['steps_rejected']} rejected, "
+          f"dt_final {solver['dt_final']:.4g}")
     print(f"bundle written to {bundle['paths'].get('bundle_dir', '<not written>')}")
     return 0
 

@@ -272,14 +272,13 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
         try:
             fit = asy.fit_rate(es, window, log_power=claim.log_power)
             stability = asy.window_stability(es, window, log_power=claim.log_power)
-            fits[f"{combo}|{nm}|l{l}"] = {
+            entry = {
                 "combo": combo,
                 "norm": nm,
                 "l": l,
                 "log_power": claim.log_power,
                 "claimed_exponent": claim.exponent,
                 "claim_kind": claim.kind,
-                "exponent_tolerance": 0.1,
                 "exponent": fit.exponent,
                 "theil_sen": fit.theil_sen,
                 "amplitude": fit.amplitude,
@@ -289,6 +288,9 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
                 "window_stability": stability,
                 "resolved": stability < 0.05,
             }
+            if claim.kind == "band":
+                entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
+            fits[f"{combo}|{nm}|l{l}"] = entry
         except ConfigError as exc:
             fits[f"{combo}|{nm}|l{l}"] = {"combo": combo, "norm": nm, "l": l,
                                           "error": str(exc)}
@@ -324,8 +326,9 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
         "initial_data": dreport,
         "solver": {
             "segments": len(traj.step_stats),
-            "dt_final": traj.step_stats[-1].dt if traj.step_stats else None,
-            "dt_halvings": traj.dt_halvings,
+            "steps_accepted": traj.steps_accepted,
+            "steps_rejected": traj.steps_rejected,
+            "dt_final": float(traj.step_stats[-1].dt),
             "times": [float(t) for t in traj.times],
         },
         "fits": fits,

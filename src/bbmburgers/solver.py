@@ -5,6 +5,15 @@ step; only the (smoothed, dealiased) quadratic term and the variable-
 coefficient convection are advanced by the fourth-order exponential
 Runge-Kutta stages.  This makes the beta = 0 limit bit-for-bit equal to the
 semigroup, which the oracle tests exploit.
+
+By default the step is error-controlled per sample segment by step doubling:
+the segment is marched with n steps of 2h and with 2n steps of h from the same
+state, the fine result is kept when max|u_2n - u_n|/15 <= _RTOL max|u_2n|, and
+the next step is h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
+A rejected trial (error too large, or a blow-up caught by the sentinel) shrinks
+h and retries the segment, at most _MAX_REJECTIONS times in a row.  An explicit
+dt marches fixed uniform steps instead, with no retry: the independent route
+the self-convergence oracles use.
 """
 
 import math
@@ -31,8 +40,18 @@ _EXP_FLOOR = -700.0
 _PHI_SMALL = 1e-2  # below this |z|, closed forms cancel; switch to Taylor
 _PHI_TERMS = 13
 _BLOWUP_FACTOR = 1e6
-_MAX_HALVINGS = 3
 _NONLINEAR_STABILITY = 2.8  # explicit RK4-type stability radius
+
+# step-doubling controller
+_RTOL = 1e-7  # accepted error of a segment, relative to max|u| at its end
+# round-off floor of the tolerance, relative to max|u| at either end of a segment;
+# an exactly zero state (solve_second_aux starts from z = 0) is always accepted
+_ROUNDOFF = 64 * np.finfo(np.float64).eps
+_H_START = 0.1  # first trial step; the controller grows it by up to 4x per segment
+_GROWTH_MAX = 4.0
+_SHRINK_MIN = 0.2
+_SAFETY = 0.9
+_MAX_REJECTIONS = 8  # consecutive rejected trials of one segment before giving up
 
 
 def validity_horizon(grid: GridSpec) -> float:
@@ -185,11 +204,16 @@ def step_etdrk4(u: Field, t: float, dt: float, p: ModelParams) -> Field:
 
 @dataclass
 class StepStats:
+    """One sample segment: the steps of the accepted march, the trials rejected
+    before it and the step-doubling error estimate (None on a fixed-dt run)."""
+
     t_start: float
     t_end: float
     dt: float
     n_steps: int
     nyquist_peak: float
+    n_rejected: int = 0
+    err_est: float | None = None
 
 
 @dataclass
@@ -201,7 +225,14 @@ class Trajectory:
     mass_log: np.ndarray
     nyquist_fraction: np.ndarray
     step_stats: list = field(default_factory=list)
-    dt_halvings: int = 0  # times the blow-up sentinel halved dt (at most 3)
+
+    @property
+    def steps_accepted(self) -> int:
+        return sum(s.n_steps for s in self.step_stats)
+
+    @property
+    def steps_rejected(self) -> int:
+        return sum(s.n_rejected for s in self.step_stats)
 
     def validate(self):
         m0 = self.mass_log[0]
@@ -228,22 +259,85 @@ def _check_samples(grid: GridSpec, t_samples) -> np.ndarray:
     return ts
 
 
-def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
-    band = grid.nyquist_band
+class _Stepper:
+    """Advances the state over one sample segment at a time, holding at most two
+    ETD tableaux (about 0.8 MB each at N = 16384): the current segment's."""
+
+    def __init__(self, grid, linear, nl, threshold):
+        self.linear = linear
+        self.nl = nl
+        self.threshold = threshold
+        self.band = grid.nyquist_band
+        self.n_points = grid.n_points
+        self._tableaux = {}
+
+    def march(self, uhat, t0, dt, n):
+        """n steps of dt from t0: (spectrum, Nyquist-band peak)."""
+        if dt not in self._tableaux:
+            if len(self._tableaux) == 2:
+                del self._tableaux[next(iter(self._tableaux))]
+            self._tableaux[dt] = _EtdCoeffs(self.linear, dt)
+        coeffs = self._tableaux[dt]
+        return _march(uhat, t0, n, coeffs, self.nl, self.threshold, self.band)
+
+    def fixed(self, uhat, t0, t1, dt):
+        """The segment in uniform steps of at most dt; a blow-up raises."""
+        span = t1 - t0
+        n = max(1, int(math.ceil(span / dt - 1e-12)))
+        new_hat, nyq = self.march(uhat, t0, span / n, n)
+        values = np.fft.irfft(new_hat, n=self.n_points)
+        return new_hat, values, StepStats(t0, t1, span / n, n, nyq)
+
+    def doubling(self, uhat, t0, t1, h, h_max, start_peak):
+        """The segment under step-doubling error control from the trial step h:
+        returns the fine spectrum, its values, its StepStats and the next step."""
+        span = t1 - t0
+        rejected = 0
+        while True:
+            n = max(1, int(math.ceil(span / (2.0 * min(h, h_max)) - 1e-12)))
+            dt = span / (2 * n)
+            try:
+                fine_hat, nyq = self.march(uhat, t0, dt, 2 * n)
+                coarse_hat, _ = self.march(uhat, t0, 2 * dt, n)
+            except InstabilityError:
+                factor = 0.5
+            else:
+                values = np.fft.irfft(fine_hat, n=self.n_points)
+                diff = np.fft.irfft(fine_hat - coarse_hat, n=self.n_points)
+                err = float(np.abs(diff).max()) / 15.0
+                peak = float(np.abs(values).max())
+                tol = _RTOL * peak + _ROUNDOFF * max(peak, start_peak)
+                factor = _GROWTH_MAX if err == 0.0 else _SAFETY * (tol / err) ** 0.2
+                if err <= tol:
+                    stats = StepStats(t0, t1, dt, 2 * n, nyq, rejected, err)
+                    return fine_hat, values, stats, dt * min(_GROWTH_MAX, factor)
+                factor = max(_SHRINK_MIN, factor)
+            rejected += 1
+            if rejected >= _MAX_REJECTIONS:
+                raise InstabilityError(
+                    f"{rejected} consecutive rejected steps on [{t0:.4g}, {t1:.4g}], "
+                    f"last trial dt={dt:.3e}"
+                )
+            h = dt * factor
+
+
+def _run_trajectory(grid, p, u0_values, t_samples, linear, nl, dt, dt_guard):
+    """Sample the flow at t_samples: fixed uniform steps when dt is given,
+    step doubling with the coarse step capped by dt_guard otherwise."""
     dx = grid.dx
-    uhat = np.fft.rfft(u0_values)
+    u_vals = np.asarray(u0_values, dtype=np.float64)
+    uhat = np.fft.rfft(u_vals)
     init = float(np.abs(uhat).max())
     threshold = _BLOWUP_FACTOR * init if init > 0.0 else math.inf
+    stepper = _Stepper(grid, linear, nl, threshold)
 
     times, snaps, masses, fracs, stats = [], [], [], [], []
 
-    def record(t, uhat, values=None):
-        u = np.fft.irfft(uhat, n=grid.n_points) if values is None else values
-        f = Field(grid, u)
+    def record(t, uhat, u):
         times.append(t)
-        snaps.append(f)
+        snaps.append(Field(grid, u))
         masses.append(dx * u.sum())
-        fracs.append(_nyquist_fraction(uhat, band))
+        fracs.append(_nyquist_fraction(uhat, grid.nyquist_band))
         if fracs[-1] >= 1e-6:
             raise InstabilityError(
                 f"Nyquist-band energy fraction {fracs[-1]:.2e} at t={t:.4g}: "
@@ -253,33 +347,20 @@ def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
     ts = t_samples
     t_prev = 0.0
     if ts[0] == 0.0:
-        record(0.0, uhat, values=np.asarray(u0_values, dtype=np.float64))
+        record(0.0, uhat, u_vals)
         ts = ts[1:]
-    dt_cur = dt_target
-    halvings = 0
-    coeff_cache = {}
+    h = _H_START
     for t_next in ts:
-        while True:
-            span = t_next - t_prev
-            n = max(1, int(math.ceil(span / dt_cur - 1e-12)))
-            dt_seg = span / n
-            if dt_seg not in coeff_cache:
-                coeff_cache[dt_seg] = _EtdCoeffs(linear, dt_seg)
-            try:
-                new_hat, nyq = _march(
-                    uhat, t_prev, n, coeff_cache[dt_seg], nl, threshold, band
-                )
-            except InstabilityError:
-                halvings += 1
-                if halvings > _MAX_HALVINGS:
-                    raise
-                dt_cur *= 0.5
-                continue
-            break
-        stats.append(StepStats(t_prev, t_next, dt_seg, n, nyq))
-        uhat = new_hat
+        if dt is not None:
+            uhat, u_vals, seg = stepper.fixed(uhat, t_prev, t_next, dt)
+        else:
+            start_peak = float(np.abs(u_vals).max())
+            uhat, u_vals, seg, h = stepper.doubling(
+                uhat, t_prev, t_next, h, 0.5 * dt_guard, start_peak
+            )
+        stats.append(seg)
         t_prev = t_next
-        record(t_next, uhat)
+        record(t_next, uhat, u_vals)
 
     return Trajectory(
         p,
@@ -289,7 +370,6 @@ def _run_trajectory(grid, p, u0_values, t_samples, dt_target, linear, nl):
         np.asarray(masses),
         np.asarray(fracs),
         stats,
-        halvings,
     ).validate()
 
 
@@ -302,9 +382,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate the full equation, sampling at t_samples.
 
-    Small-data regime is enforced (||u0||_inf <= max_amplitude); dt defaults
-    to the convection-limited guess and is halved (up to 3 times) whenever
-    the blow-up sentinel trips.
+    Small-data regime is enforced (||u0||_inf <= max_amplitude).  By default
+    the step is error-controlled per sample segment (step doubling against
+    _RTOL, see the module docstring), with the coarse step capped by the
+    nonlinear stability guard; a blow-up is a rejected trial.  An explicit dt
+    marches fixed uniform steps of at most dt and raises InstabilityError on
+    a blow-up.
     """
     ts = _check_samples(u0.grid, t_samples)
     amp = float(np.abs(u0.values).max())
@@ -312,12 +395,12 @@ def integrate(
         raise ConfigError(
             f"||u0||_inf = {amp:.3g} exceeds the small-data cap {max_amplitude}"
         )
-    dt_target = dt if dt is not None else min(0.1, 0.5 * u0.grid.dx / max(1.0, amp))
-    if dt_target <= 0 or dt_target > _dt_max_bbmb(p, max(amp, 1e-12)):
-        raise ConfigError(f"dt={dt_target} outside the stability guard")
+    dt_guard = _dt_max_bbmb(p, max(amp, 1e-12))
+    if dt is not None and (dt <= 0 or dt > dt_guard):
+        raise ConfigError(f"dt={dt} outside the stability guard")
     g = u0.grid
     return _run_trajectory(
-        g, p, u0.values, ts, dt_target, _bbmb_linear(g, p.gamma), _bbmb_nl(g, p)
+        g, p, u0.values, ts, _bbmb_linear(g, p.gamma), _bbmb_nl(g, p), dt, dt_guard
     )
 
 
@@ -380,26 +463,25 @@ def solve_aux(
 
     The heat part is exact per step; the convection term and the forcing are
     advanced by the exponential stages with chi evaluated analytically at
-    stage times.  lam is a callable t -> Field (or values), or None.
+    stage times.  lam is a callable t -> Field (or values), or None.  Steps
+    are chosen as in integrate, with the convection guard (xi chi is unbounded
+    in xi) as the cap; an explicit dt must lie within that guard.
     """
     ts = _check_samples(z0.grid, t_samples)
-    amp = float(np.abs(z0.values).max())
     g = z0.grid
     chi_peak = float(np.abs(chi(g.x, 0.0, p)).max())
     dt_guard = _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * g.xi_half[-1], 1e-12)
-    dt_target = dt if dt is not None else min(
-        0.1, 0.5 * g.dx / max(1.0, amp), 0.5 * dt_guard
-    )
-    if dt_target > dt_guard:
-        raise ConfigError(f"dt={dt_target} exceeds the convection stability guard")
+    if dt is not None and (dt <= 0 or dt > dt_guard):
+        raise ConfigError(f"dt={dt} exceeds the convection stability guard")
     return _run_trajectory(
         g,
         p,
         z0.values,
         ts,
-        dt_target,
         -(g.xi_half**2) + 0.0j,
         _aux_nl(g, p, _lam_values(lam)),
+        dt,
+        dt_guard,
     )
 
 

@@ -30,19 +30,21 @@ def rng():
 @pytest.fixture
 def flaky_march(monkeypatch):
     """Call with n to make the solver's step loop raise InstabilityError on
-    its first n calls, as the blow-up sentinel would."""
+    its first n calls, as the blow-up sentinel would.  Returns the list that
+    collects the step size of each injected failure."""
 
     def install(failures=1):
         real = sv._march
-        calls = {"n": 0}
+        failed_dts = []
 
-        def march(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] <= failures:
+        def march(uhat, t0, n_steps, coeffs, *args):
+            if len(failed_dts) < failures:
+                failed_dts.append(coeffs.dt)
                 raise InstabilityError("injected blow-up")
-            return real(*args, **kwargs)
+            return real(uhat, t0, n_steps, coeffs, *args)
 
         monkeypatch.setattr(sv, "_march", march)
+        return failed_dts
 
     return install
 

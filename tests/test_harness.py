@@ -22,7 +22,7 @@ def tiny_scenario(**overrides):
         amplitude=0.3,
         L=80.0,
         N=1024,
-        t_samples=list(np.geomspace(1.0, 50.0, 10)),
+        t_samples=list(np.geomspace(1.0, 50.0, 12)),
         norms=["linf"],
         derivative_orders=[0],
     )
@@ -141,11 +141,32 @@ class TestRunExperiment:
         rep = bundle["report"]
         assert rep["cross_checks"]["mass_drift"] < 1e-10
         assert "chi|linf|l0" in rep["fits"]
+        assert not [k for k, fit in rep["fits"].items() if "error" in fit]
 
-    def test_dt_halvings_reported(self, flaky_march):
+    def test_step_counts_reported(self, flaky_march):
         flaky_march(1)
         report = hn.run_experiment(tiny_scenario(), write=False, out_root=None)["report"]
-        assert report["solver"]["dt_halvings"] == 1
+        solver = report["solver"]
+        assert solver["steps_rejected"] == 1
+        assert solver["steps_accepted"] >= 2 * solver["segments"]
+        assert type(solver["dt_final"]) is float
+        assert "dt_halvings" not in solver
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_exponent_tolerance_only_on_band_fits(self, alpha):
+        # the +-0.1 slope tolerance is the band test; other kinds judge otherwise
+        s = tiny_scenario(alpha=alpha, data_kind="prescribed_r0", c_plus=1.0,
+                          c_minus=-1.0, L=50.0, N=1024,
+                          t_samples=list(np.geomspace(1.0, 36.0, 12)))
+        fits = hn.run_experiment(s, write=False, out_root=None)["report"]["fits"]
+        kinds = set()
+        for fit in fits.values():
+            kinds.add(fit["claim_kind"])
+            if fit["claim_kind"] == "band":
+                assert fit["exponent_tolerance"] == asy.RateClaim.BAND_SLOPE_TOL
+            else:
+                assert "exponent_tolerance" not in fit
+        assert "band" in kinds and len(kinds) >= 2
 
     def test_linear_oracle_cross_check(self, tmp_path):
         s = tiny_scenario(beta=0.0, name="lin-oracle")
@@ -204,6 +225,9 @@ class TestCli:
         cfg.write_text(tiny_scenario().canonical_json())
         out = str(tmp_path / "out")
         assert cli.main(["simulate", "--config", str(cfg), "--out", out]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.startswith("solver: 12 segments, ")
+        assert " rejected, dt_final " in summary
         bundle_dir = os.path.join(out, hn.scenario_hash(tiny_scenario()))
         rc = cli.main(["rates", "--bundle", bundle_dir, "--combo", "chi",
                        "--norm", "linf", "--l", "0"])

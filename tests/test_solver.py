@@ -208,18 +208,53 @@ class TestGuards:
             traj = sv.integrate(u0, p_hot, [50.0], dt=5.0)
 
 
-class TestDtHalvings:
-    def test_clean_run_records_none(self, grid60):
-        traj = sv.integrate(gaussian_data(grid60), P, [1.0, 2.0], dt=0.1)
-        assert traj.dt_halvings == 0
+class TestStepControl:
+    def test_adaptive_matches_fixed_step(self, grid60):
+        u0 = gaussian_data(grid60)
+        adaptive = sv.integrate(u0, P, [1.0, 2.0, 4.0])
+        fixed = sv.integrate(u0, P, [1.0, 2.0, 4.0], dt=0.01)
+        assert adaptive.steps_rejected == 0
+        assert all(s.err_est is not None for s in adaptive.step_stats)
+        assert all(s.err_est is None for s in fixed.step_stats)
+        for a, b in zip(adaptive.snapshots, fixed.snapshots):
+            assert np.abs(a.values - b.values).max() < 1e-8
 
-    def test_one_blowup_recorded(self, grid60, flaky_march):
-        flaky_march(1)
-        traj = sv.integrate(gaussian_data(grid60), P, [1.0, 2.0], dt=0.1)
-        assert traj.dt_halvings == 1
-        assert [s.dt for s in traj.step_stats] == pytest.approx([0.05, 0.05])
+    def test_tolerance_bounds_error(self, grid60, monkeypatch):
+        # at _RTOL = 1e-11 the first trial step is too coarse and is rejected
+        monkeypatch.setattr(sv, "_RTOL", 1e-11)
+        u0 = gaussian_data(grid60)
+        tight = sv.integrate(u0, P, [1.0, 2.0, 4.0])
+        fixed = sv.integrate(u0, P, [1.0, 2.0, 4.0], dt=0.01)
+        assert tight.steps_rejected >= 1
+        for a, b in zip(tight.snapshots, fixed.snapshots):
+            assert np.abs(a.values - b.values).max() < 1e-10
 
-    def test_fourth_blowup_raises(self, grid60, flaky_march):
-        flaky_march(4)
+    def test_blowup_rejected_then_step_grows(self, grid60, flaky_march):
+        failed_dts = flaky_march(1)
+        traj = sv.integrate(gaussian_data(grid60), P, [1.0, 2.0])
+        assert traj.steps_rejected == 1
+        assert [s.n_rejected for s in traj.step_stats] == [1, 0]
+        assert traj.step_stats[1].dt > failed_dts[0]
+
+    def test_consecutive_blowups_raise(self, grid60, flaky_march):
+        flaky_march(sv._MAX_REJECTIONS)
         with pytest.raises(InstabilityError):
-            sv.integrate(gaussian_data(grid60), P, [1.0], dt=0.1)
+            sv.integrate(gaussian_data(grid60), P, [1.0])
+
+    def test_fixed_dt_blowup_raises(self, grid60, flaky_march):
+        flaky_march(1)
+        with pytest.raises(InstabilityError):
+            sv.integrate(gaussian_data(grid60), P, [1.0, 2.0], dt=0.1)
+
+    def test_steps_grow_as_solution_decays(self):
+        g = make_grid(100.0, 2048)
+        times = np.geomspace(1.0, 50.0, 12)
+        traj = sv.integrate(gaussian_data(g), P, times)
+        # the former fixed step: min(0.1, 0.5 dx / max(1, ||u0||_inf)) on every segment
+        dt_fixed = min(0.1, 0.5 * g.dx)
+        spans = np.diff(np.concatenate([[0.0], times]))
+        fixed_steps = sum(math.ceil(span / dt_fixed - 1e-12) for span in spans)
+        assert traj.steps_rejected == 0
+        assert traj.steps_accepted <= fixed_steps / 5
+        dts = [s.dt for s in traj.step_stats]
+        assert dts[-1] > 10 * dts[0]
