@@ -79,18 +79,22 @@ def helmholtz_inv(f: Field) -> Field:
     return _apply_multiplier(f, 1.0 / (1.0 + f.grid.xi_half**2))
 
 
-def _trig_values(f: Field, s):
-    """Evaluate the trigonometric interpolant of f at arbitrary points s."""
+def _trig_values(f: Field):
+    """The trigonometric interpolant of f, as an evaluator of a scalar s.
+
+    The one full FFT of f happens here, once; each evaluation is then a single
+    sum over the N modes.
+    """
     g = f.grid
     coeff = np.fft.fft(f.values) / g.n_points
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    xi = g.xi
+    L = g.half_width
+
     # phase convention: values[j] = sum_k coeff[k] exp(i xi_k (x_j + L))
-    out = np.empty(s.size)
-    chunk = 256
-    for i0 in range(0, s.size, chunk):
-        phases = np.exp(1j * np.outer(s[i0 : i0 + chunk] + g.half_width, g.xi))
-        out[i0 : i0 + chunk] = (phases @ coeff).real
-    return out
+    def evaluate(s: float) -> float:
+        return (np.exp(1j * (s + L) * xi) @ coeff).real
+
+    return evaluate
 
 
 def helmholtz_inv_direct(f: Field, x_eval=None, cutoff: float = 40.0):
@@ -98,17 +102,19 @@ def helmholtz_inv_direct(f: Field, x_eval=None, cutoff: float = 40.0):
     with e^{-|x|}/2, periodized and truncated at `cutoff` e-foldings.
 
     Integrates the kernel against the trigonometric interpolant of f by
-    adaptive quadrature, splitting at the kernel kink.  Returns the values at
-    x_eval (default: 64 evenly spaced grid points).
+    adaptive quadrature, splitting at the kernel kink.  The interpolant is
+    built once per call (one FFT of f) and evaluated at each quadrature node.
+    Returns the values at x_eval (default: 64 evenly spaced grid points).
     """
     g = f.grid
     if x_eval is None:
         x_eval = g.x[:: max(1, g.n_points // 64)]
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=np.float64))
+    interp = _trig_values(f)
     out = np.empty(x_eval.size)
     for i, x0 in enumerate(x_eval):
         val, _ = spi.quad(
-            lambda s: 0.5 * math.exp(-abs(x0 - s)) * _trig_values(f, s)[0],
+            lambda s: 0.5 * math.exp(-abs(x0 - s)) * interp(s),
             x0 - cutoff,
             x0 + cutoff,
             points=[x0],

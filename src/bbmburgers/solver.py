@@ -323,7 +323,8 @@ class _Stepper:
 
 def _run_trajectory(grid, p, u0_values, t_samples, linear, nl, dt, dt_guard):
     """Sample the flow at t_samples: fixed uniform steps when dt is given,
-    step doubling with the coarse step capped by dt_guard otherwise."""
+    step doubling otherwise, with the coarse step of the segment starting at
+    t capped by dt_guard(t)."""
     dx = grid.dx
     u_vals = np.asarray(u0_values, dtype=np.float64)
     uhat = np.fft.rfft(u_vals)
@@ -356,7 +357,7 @@ def _run_trajectory(grid, p, u0_values, t_samples, linear, nl, dt, dt_guard):
         else:
             start_peak = float(np.abs(u_vals).max())
             uhat, u_vals, seg, h = stepper.doubling(
-                uhat, t_prev, t_next, h, 0.5 * dt_guard, start_peak
+                uhat, t_prev, t_next, h, 0.5 * dt_guard(t_prev), start_peak
             )
         stats.append(seg)
         t_prev = t_next
@@ -400,7 +401,8 @@ def integrate(
         raise ConfigError(f"dt={dt} outside the stability guard")
     g = u0.grid
     return _run_trajectory(
-        g, p, u0.values, ts, _bbmb_linear(g, p.gamma), _bbmb_nl(g, p), dt, dt_guard
+        g, p, u0.values, ts, _bbmb_linear(g, p.gamma), _bbmb_nl(g, p), dt,
+        lambda t: dt_guard,
     )
 
 
@@ -465,13 +467,20 @@ def solve_aux(
     advanced by the exponential stages with chi evaluated analytically at
     stage times.  lam is a callable t -> Field (or values), or None.  Steps
     are chosen as in integrate, with the convection guard (xi chi is unbounded
-    in xi) as the cap; an explicit dt must lie within that guard.
+    in xi) as the cap.  The guard of each segment uses max|chi| at the
+    segment's start, which bounds chi over the whole segment because
+    sup|chi(., t)| is non-increasing in t; the cap thus grows like sqrt(1 + t).
+    An explicit dt must lie within the guard at t = 0.
     """
     ts = _check_samples(z0.grid, t_samples)
     g = z0.grid
-    chi_peak = float(np.abs(chi(g.x, 0.0, p)).max())
-    dt_guard = _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * g.xi_half[-1], 1e-12)
-    if dt is not None and (dt <= 0 or dt > dt_guard):
+    xi_max = g.xi_half[-1]
+
+    def dt_guard(t):
+        chi_peak = float(np.abs(chi(g.x, t, p)).max())
+        return _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * xi_max, 1e-12)
+
+    if dt is not None and (dt <= 0 or dt > dt_guard(0.0)):
         raise ConfigError(f"dt={dt} exceeds the convection stability guard")
     return _run_trajectory(
         g,

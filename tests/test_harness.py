@@ -200,6 +200,65 @@ class TestRunExperiment:
             hn.run_experiment(s, write=False, out_root=None)
 
 
+class TestBundleFormat:
+    """Every CSV cell is the shortest round-trip repr of its float."""
+
+    # the default chunk, several chunks with a short last one, one short chunk
+    @pytest.mark.parametrize("chunk_rows", [None, 100, 1000])
+    def test_snapshots_and_series_are_exact(self, tmp_path, monkeypatch, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(hn, "_CHUNK_ROWS", chunk_rows)
+        # t = 0 is sampled, so the log-scaled chi series holds a nan
+        s = tiny_scenario(N=512, t_samples=[0.0] + list(np.geomspace(1.0, 50.0, 11)))
+        assert chunk_rows is None or s.N % chunk_rows != 0
+        bundle = hn.run_experiment(s, out_root=str(tmp_path))
+        traj = bundle["trajectory"]
+        x = s.grid.x
+        snap_dir = os.path.join(bundle["paths"]["bundle_dir"], "snapshots")
+        assert len(os.listdir(snap_dir)) == len(traj.snapshots)
+        for i, snap in enumerate(traj.snapshots):
+            path = os.path.join(snap_dir, f"snap_{i:03d}.csv")
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            expected = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, snap.values)]
+            assert lines == ["x,u"] + expected
+            table = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert np.array_equal(table[:, 0], x)
+            assert np.array_equal(table[:, 1], snap.values)
+
+        saw_nan = False
+        for (combo, l, nm), es in bundle["series"].items():
+            claim = asy.rate_claim(s.alpha, combo, l)
+            scale = (1.0 + es.times) ** (-claim.exponent)
+            if claim.log_power == 1:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    scale = np.where(es.times > 0, scale / np.log1p(es.times), np.nan)
+            scaled = es.values * scale
+            saw_nan |= bool(np.isnan(scaled).any())
+            fname = f"{combo.replace('+', '_')}_{nm}_l{l}.csv"
+            with open(bundle["paths"][fname]) as fh:
+                lines = fh.read().splitlines()
+            expected = [f"{float(t)!r},{float(v)!r},{float(w)!r}"
+                        for t, v, w in zip(es.times, es.values, scaled)]
+            assert lines == ["t,value,scaled_value"] + expected
+        assert saw_nan
+
+    def test_writer_cells_are_shortest_repr(self, tmp_path):
+        special = np.array([-0.0, 5e-324, 1e16, 1e-5, np.nan])
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        columns = [(special[::-1], -special), (special, special)]
+        hn._write_csvs(paths, "x,u,w", special, columns)
+        for path, (u, w) in zip(paths, columns):
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            assert lines == ["x,u,w"] + [
+                ",".join(repr(float(v)) for v in row) for row in zip(special, u, w)
+            ]
+        with open(paths[0]) as fh:
+            assert fh.readline() == "x,u,w\n"
+            assert fh.readline() == "-0.0,nan,0.0\n"
+
+
 class TestCli:
     def test_profiles_command(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

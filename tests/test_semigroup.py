@@ -106,6 +106,21 @@ class TestHelmholtz:
         spectral = sg.helmholtz_inv(f).values[idx]
         assert np.abs(direct - spectral).max() < 1e-8
 
+    def test_direct_route_interpolates_from_one_fft(self, rng, monkeypatch):
+        g = make_grid(16.0, 128)
+        f = band_limited(g, rng, n_modes=6)
+        calls = []
+        real_fft = np.fft.fft
+
+        def counting_fft(*args, **kwargs):
+            calls.append(1)
+            return real_fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        direct = sg.helmholtz_inv_direct(f, x_eval=g.x[[0, 40, 90]])
+        assert len(calls) == 1
+        assert np.abs(direct - sg.helmholtz_inv(f).values[[0, 40, 90]]).max() < 1e-8
+
     def test_l2_contraction(self, grid40, rng):
         f = band_limited(grid40, rng)
         assert lp_norm(sg.helmholtz_inv(f), 2) <= lp_norm(f, 2)

@@ -186,6 +186,22 @@ class TestSolveSecondAux:
         with pytest.raises(ConfigError):
             sv.solve_second_aux(ModelParams(1.0, 1.0, 1.5, 1.5), grid60, [1.0])
 
+    def test_convection_guard_follows_decaying_wave(self, grid60):
+        # the coarse step is capped per segment by max|chi| at its start, so late
+        # steps exceed the guard of t = 0 while staying within their own guard
+        p = ModelParams(1.0, 1.0, 3.0, 0.5)
+        xi_max = grid60.xi_half[-1]
+
+        def guard(t):
+            peak = np.abs(pr.chi(grid60.x, t, p)).max()
+            return sv._NONLINEAR_STABILITY / (p.beta * peak * xi_max)
+
+        traj = sv.solve_second_aux(p, grid60, np.geomspace(1.0, 50.0, 8))
+        last = traj.step_stats[-1]
+        assert 2.0 * last.dt > guard(0.0)
+        for seg in traj.step_stats:
+            assert 2.0 * seg.dt <= guard(seg.t_start) * (1 + 1e-12)
+
     @pytest.mark.slow
     def test_tracks_log_profile(self, second_aux_bundle):
         # (1+t) ||v - V||_inf stays bounded (no growth trend)
