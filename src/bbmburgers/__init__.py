@@ -19,7 +19,6 @@ from .profiles import (
     constants,
     eta,
     eta_star,
-    extract_c_alpha,
     fM_check,
     r0_eval,
 )
@@ -27,10 +26,8 @@ from .semigroup import G_apply, T_apply, TG_gap, U_apply, helmholtz_inv
 from .solver import (
     Trajectory,
     integrate,
-    rhs_nonlinear,
     solve_aux,
     solve_second_aux,
-    step_etdrk4,
 )
 from .asymptotics import (
     ErrorSeries,

@@ -99,7 +99,7 @@ def error_series_multi(
     """Error series for several combinations at once.
 
     Profile fields are evaluated once per snapshot and shared across the
-    requested combinations, which matters because Z costs a quadrature.
+    requested combinations.
     Norms are taken over the measurement window |x| <= 0.8 L, outside of
     which the tail taper makes the box solution diverge from the whole-line
     profiles by construction.  Returns {(combo, order, norm): ErrorSeries}.

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: profiles, simulate, verify, rates, sweep, kernel-table.
+Subcommands: profiles, simulate, verify, rates, sweep.
 Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 instability.
 """
 
@@ -21,7 +21,6 @@ from .core import Field, make_grid
 from .errors import ConfigError, InstabilityError
 from .harness import run_experiment, scenario_from_json
 from .profiles import ModelParams
-from .semigroup import t_multiplier
 from .solver import Trajectory
 
 
@@ -150,26 +149,6 @@ def _cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_kernel_table(args) -> int:
-    grid = make_grid(args.L, args.N)
-    mult = t_multiplier(grid.xi, grid.xi_odd, args.t, args.gamma)
-    order = np.argsort(grid.xi)
-    out = args.out or sys.stdout
-    rows = ["xi,re_m,im_m"]
-    for k in order:
-        rows.append(
-            f"{float(grid.xi[k])!r},{float(mult[k].real)!r},{float(mult[k].imag)!r}"
-        )
-    text = "\n".join(rows) + "\n"
-    if isinstance(out, str):
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {out}")
-    else:
-        out.write(text)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bbmburgers",
@@ -210,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="out")
     sp.set_defaults(fn=_cmd_sweep)
 
-    sp = sub.add_parser("kernel-table", help="dump the T(t) multiplier")
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--L", type=float, default=40.0)
-    sp.add_argument("--N", type=int, default=256)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_kernel_table)
     return ap
 
 

@@ -132,35 +132,18 @@ class Field:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: GridSpec, values, check: bool = True):
+    def __init__(self, grid: GridSpec, values):
         v = np.asarray(values, dtype=np.float64)
         if v.shape != (grid.n_points,):
             raise ConfigError(
                 f"values shape {v.shape} does not match grid N={grid.n_points}"
             )
-        if check and not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
             raise NumericsError("Field contains non-finite values")
         v = v.copy()
         v.setflags(write=False)
         self.grid = grid
         self.values = v
-
-    def __add__(self, other):
-        self._same_grid(other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._same_grid(other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return Field(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def _same_grid(self, other):
-        if self.grid != other.grid:
-            raise ConfigError("Fields live on different grids")
 
     def mass(self) -> float:
         """Rectangle-rule integral dx * sum(values)."""

@@ -23,11 +23,9 @@ __all__ = [
     "chi_star",
     "chi_star_deriv",
     "chi_star_deriv2",
-    "chi_star_deriv3",
     "chi",
     "chi_x",
     "chi_xx",
-    "chi_xxx",
     "chi_t",
     "eta_star",
     "eta",
@@ -39,7 +37,6 @@ __all__ = [
     "Z_eval",
     "Z_eval_quadrature",
     "r0_eval",
-    "extract_c_alpha",
     "extract_c_alpha_detailed",
     "constants",
     "fM_check",
@@ -47,6 +44,7 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+_D_QUAD_TOL = 1e-10  # absolute and relative tolerance of the quadrature for d
 
 
 @dataclass(frozen=True)
@@ -121,14 +119,6 @@ def chi_star_deriv2(x, p: ModelParams):
     return -0.5 * c - 0.5 * x * c1 + p.beta * c * c1
 
 
-def chi_star_deriv3(x, p: ModelParams):
-    x = np.asarray(x, dtype=np.float64)
-    c = chi_star(x, p)
-    c1 = -0.5 * x * c + 0.5 * p.beta * c * c
-    c2 = -0.5 * c - 0.5 * x * c1 + p.beta * c * c1
-    return -c1 - 0.5 * x * c2 + p.beta * (c1 * c1 + c * c2)
-
-
 def chi(x, t, p: ModelParams):
     """Nonlinear diffusion wave at time t >= 0; chi(x, 0) == chi_star(x)."""
     if t < 0:
@@ -145,11 +135,6 @@ def chi_x(x, t, p: ModelParams):
 def chi_xx(x, t, p: ModelParams):
     s = math.sqrt(1.0 + t)
     return chi_star_deriv2(np.asarray(x) / s, p) / (1.0 + t) ** 1.5
-
-
-def chi_xxx(x, t, p: ModelParams):
-    s = math.sqrt(1.0 + t)
-    return chi_star_deriv3(np.asarray(x) / s, p) / (1.0 + t) ** 2
 
 
 def chi_t(x, t, p: ModelParams):
@@ -449,12 +434,6 @@ def extract_c_alpha_detailed(r0: Field, p: ModelParams):
     }
 
 
-def extract_c_alpha(r0: Field, p: ModelParams):
-    """Tail limits (c_plus, c_minus) estimated on +-[0.5 L, 0.7 L]."""
-    d = extract_c_alpha_detailed(r0, p)
-    return d["c_plus"], d["c_minus"]
-
-
 def _quad_d(p: ModelParams, tol: float) -> float:
     val, err = spi.quad(
         lambda y: chi_star(y, p) ** 3 / eta_star(y, p),
@@ -470,23 +449,13 @@ def _quad_d(p: ModelParams, tol: float) -> float:
 
 
 def constants(
-    p: ModelParams,
-    u0: Field | None = None,
-    c_alpha: tuple[float, float] | None = None,
-    quad_tol: float = 1e-10,
+    p: ModelParams, c_alpha: tuple[float, float] | None = None
 ) -> ProfileSet:
     """Assemble the ProfileSet: d by adaptive quadrature, kappa = beta^2 gamma / 8,
-    tail limits from u0 (via r0) or given explicitly, and mu0/mu1.
+    the given tail limits (default 0, 0) and mu0/mu1.
     """
-    if u0 is not None and c_alpha is not None:
-        raise ConfigError("pass either u0 or c_alpha, not both")
-    if u0 is not None:
-        cp, cm = extract_c_alpha(r0_eval(u0, p), p)
-    elif c_alpha is not None:
-        cp, cm = float(c_alpha[0]), float(c_alpha[1])
-    else:
-        cp = cm = 0.0
-    d = _quad_d(p, quad_tol)
+    cp, cm = (0.0, 0.0) if c_alpha is None else (float(c_alpha[0]), float(c_alpha[1]))
+    d = _quad_d(p, _D_QUAD_TOL)
     kappa = p.beta**2 * p.gamma / 8.0
     if 1.0 < p.alpha < 2.0:
         chi0 = float(chi_star(np.array([0.0]), p)[0])

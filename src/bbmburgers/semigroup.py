@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate as spi
 from scipy.interpolate import CubicSpline
 
-from .core import Field, half_spectrum_energy, lp_norm
+from .core import Field, half_spectrum_energy
 from .errors import ConfigError, MassMismatchError
 from .profiles import ModelParams, chi, eta, panel_gauss_nodes
 
@@ -170,11 +170,3 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
         kern = _dx_G_eta_kernel(g.x[i0 : i0 + chunk], y, t, tau, p)
         out[i0 : i0 + chunk] = kern @ weighted
     return Field(g, out)
-
-
-def calibrate_decay_constant(f: Field, p: ModelParams, t_ref: float = 1.0) -> float:
-    """Constant C making the algebraic part of the L2 decay bound for T(t)
-    tight at t = t_ref.  Checking later times then tests the decay *rate*
-    (the transient e^{-t/2} term only adds slack)."""
-    lhs = lp_norm(T_apply(f, t_ref, p), 2)
-    return lhs * (1.0 + t_ref) ** 0.25 / lp_norm(f, 1)

@@ -28,15 +28,12 @@ from .profiles import ModelParams, chi, chi_xx
 __all__ = [
     "Trajectory",
     "StepStats",
-    "rhs_nonlinear",
-    "step_etdrk4",
     "integrate",
     "solve_aux",
     "solve_second_aux",
     "validity_horizon",
 ]
 
-_EXP_FLOOR = -700.0
 _PHI_SMALL = 1e-2  # below this |z|, closed forms cancel; switch to Taylor
 _PHI_TERMS = 13
 _BLOWUP_FACTOR = 1e6
@@ -155,17 +152,6 @@ def _march(uhat, t0, n_steps, coeffs: _EtdCoeffs, nl, threshold, band):
     return uhat, nyq_peak
 
 
-# ---------------------------------------------------------------------------
-# Public single-operator entry points
-
-def rhs_nonlinear(u: Field, p: ModelParams) -> Field:
-    """-(beta/2) d_x (1 - d_xx)^{-1} (u^2), with 2/3-rule dealiasing of u^2."""
-    g = u.grid
-    sq_hat = np.fft.rfft(u.values * u.values)
-    out = np.fft.irfft(_nonlinear_multiplier(g, p.beta) * sq_hat, n=g.n_points)
-    return Field(g, out)
-
-
 def _bbmb_nl(grid: GridSpec, p: ModelParams):
     mult = _nonlinear_multiplier(grid, p.beta)
     N = grid.n_points
@@ -181,22 +167,6 @@ def _dt_max_bbmb(p: ModelParams, amplitude: float) -> float:
     # the nonlinear multiplier |xi|/(1+xi^2) is bounded by 1/2
     rate = max(0.5 * abs(p.beta) * amplitude, 1e-12)
     return _NONLINEAR_STABILITY / rate
-
-
-def step_etdrk4(u: Field, t: float, dt: float, p: ModelParams) -> Field:
-    """One fourth-order exponential step of the full equation."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    amp = float(np.abs(u.values).max())
-    if dt > _dt_max_bbmb(p, amp):
-        raise ConfigError(f"dt={dt} exceeds the stability guard for this state")
-    g = u.grid
-    coeffs = _EtdCoeffs(_bbmb_linear(g, p.gamma), dt)
-    uhat = np.fft.rfft(u.values)
-    init = float(np.abs(uhat).max())
-    threshold = _BLOWUP_FACTOR * init if init > 0.0 else math.inf
-    uhat, _ = _march(uhat, t, 1, coeffs, _bbmb_nl(g, p), threshold, g.nyquist_band)
-    return Field(g, np.fft.irfft(uhat, n=g.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +413,6 @@ def _aux_nl(grid: GridSpec, p: ModelParams, lam):
     return nl
 
 
-def _lam_values(lam):
-    if lam is None:
-        return None
-
-    def wrapped(t):
-        v = lam(t)
-        return v.values if isinstance(v, Field) else np.asarray(v, dtype=np.float64)
-
-    return wrapped
-
-
 def solve_aux(
     z0: Field,
     lam,
@@ -465,9 +424,9 @@ def solve_aux(
 
     The heat part is exact per step; the convection term and the forcing are
     advanced by the exponential stages with chi evaluated analytically at
-    stage times.  lam is a callable t -> Field (or values), or None.  Steps
-    are chosen as in integrate, with the convection guard (xi chi is unbounded
-    in xi) as the cap.  The guard of each segment uses max|chi| at the
+    stage times.  lam is a callable t -> grid values of the forcing, or None.
+    Steps are chosen as in integrate, with the convection guard (xi chi is
+    unbounded in xi) as the cap.  The guard of each segment uses max|chi| at the
     segment's start, which bounds chi over the whole segment because
     sup|chi(., t)| is non-increasing in t; the cap thus grows like sqrt(1 + t).
     An explicit dt must lie within the guard at t = 0.
@@ -488,7 +447,7 @@ def solve_aux(
         z0.values,
         ts,
         -(g.xi_half**2) + 0.0j,
-        _aux_nl(g, p, _lam_values(lam)),
+        _aux_nl(g, p, lam),
         dt,
         dt_guard,
     )

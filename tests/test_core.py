@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import pathlib
 
@@ -218,3 +219,14 @@ class TestSpectralLayer:
             offenders += [f"{path.name}:{line} in {func}" for line, func in finder.hits
                           if (path.name, func) not in self.ALLOWED]
         assert not offenders, offenders
+
+
+class TestPublicNames:
+    def test_every_all_entry_exists(self):
+        # a name deleted from a module but left in its __all__ breaks star imports
+        stale = []
+        for path in sorted(SRC.glob("*.py")):
+            module = importlib.import_module(f"bbmburgers.{path.stem}")
+            stale += [f"{path.name}: {name}" for name in getattr(module, "__all__", ())
+                      if not hasattr(module, name)]
+        assert not stale, stale

@@ -92,7 +92,8 @@ class TestMakeInitialData:
                           c_plus=1.0, c_minus=1.0, L=200.0, N=4096)
         u0 = hn.make_initial_data(s)
         p = s.params
-        cp, cm = pr.extract_c_alpha(pr.r0_eval(u0, p), p)
+        tails = pr.extract_c_alpha_detailed(pr.r0_eval(u0, p), p)
+        cp, cm = tails["c_plus"], tails["c_minus"]
         assert abs(cp - 1.0) < 0.02
         assert abs(cm - 1.0) < 0.02
 
@@ -302,15 +303,6 @@ class TestCli:
         assert "log_power=0" in capsys.readouterr().out
         assert cli.main(args + ["--combo", "chi"]) == 0
         assert "log_power=1" in capsys.readouterr().out
-
-    def test_kernel_table(self, tmp_path):
-        out = tmp_path / "kernel.csv"
-        rc = cli.main(["kernel-table", "--t", "2.0", "--gamma", "1.0",
-                       "--N", "64", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "xi,re_m,im_m"
-        assert len(lines) == 65
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
