@@ -14,7 +14,7 @@ from scipy import integrate as spi
 from scipy.interpolate import CubicSpline
 
 from .core import Field, half_spectrum_energy
-from .errors import ConfigError, MassMismatchError
+from .errors import ConfigError, MassMismatchError, NumericsError
 from .profiles import ModelParams, chi, eta, panel_gauss_nodes
 
 __all__ = [
@@ -80,50 +80,52 @@ def helmholtz_inv(f: Field) -> Field:
 
 
 def _trig_values(f: Field):
-    """The trigonometric interpolant of f, as an evaluator of a scalar s.
+    """The trigonometric interpolant of f, as its coefficients and wavenumbers.
 
-    The one full FFT of f happens here, once; each evaluation is then a single
-    sum over the N modes.
+    The one full FFT of f happens here.  Phase convention:
+    values[j] = sum_k coeff[k] exp(i xi_k (x_j + L)).
     """
     g = f.grid
-    coeff = np.fft.fft(f.values) / g.n_points
-    xi = g.xi
-    L = g.half_width
-
-    # phase convention: values[j] = sum_k coeff[k] exp(i xi_k (x_j + L))
-    def evaluate(s: float) -> float:
-        return (np.exp(1j * (s + L) * xi) @ coeff).real
-
-    return evaluate
+    return np.fft.fft(f.values) / g.n_points, g.xi
 
 
-def helmholtz_inv_direct(f: Field, x_eval=None, cutoff: float = 40.0):
+_HELMHOLTZ_CUTOFF = 40.0  # kernel support kept by helmholtz_inv_direct, |u| <= 40
+_QUAD_LIMIT = 200  # subinterval budget of the adaptive quadrature
+
+
+def helmholtz_inv_direct(f: Field, x_eval):
     """Cross-check route for the Helmholtz inverse: real-space convolution
-    with e^{-|x|}/2, periodized and truncated at `cutoff` e-foldings.
+    with e^{-|u|}/2, truncated at |u| <= 40 (truncation error e^{-40} ~ 4e-18
+    times max|f|).
 
-    Integrates the kernel against the trigonometric interpolant of f by
-    adaptive quadrature, splitting at the kernel kink.  The interpolant is
-    built once per call (one FFT of f) and evaluated at each quadrature node.
-    Returns the values at x_eval (default: 64 evenly spaced grid points).
+    One adaptive vector quadrature in the shift u = s - x0 integrates the
+    kernel against the trigonometric interpolant of f at every x0 in x_eval
+    at once, split at the kernel kink u = 0.  The interpolant comes from one
+    FFT of f; each quadrature node costs one matrix-vector product.
+    Raises NumericsError if the quadrature does not converge.
     """
     g = f.grid
-    if x_eval is None:
-        x_eval = g.x[:: max(1, g.n_points // 64)]
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=np.float64))
-    interp = _trig_values(f)
-    out = np.empty(x_eval.size)
-    for i, x0 in enumerate(x_eval):
-        val, _ = spi.quad(
-            lambda s: 0.5 * math.exp(-abs(x0 - s)) * interp(s),
-            x0 - cutoff,
-            x0 + cutoff,
-            points=[x0],
-            epsabs=1e-11,
-            epsrel=1e-11,
-            limit=200,
-        )
-        out[i] = val
-    return out
+    coeff, xi = _trig_values(f)
+    phase = np.exp(1j * np.outer(x_eval + g.half_width, xi))
+
+    def integrand(u: float):
+        return 0.5 * math.exp(-abs(u)) * (phase @ (np.exp(1j * u * xi) * coeff)).real
+
+    val, _, info = spi.quad_vec(
+        integrand,
+        -_HELMHOLTZ_CUTOFF,
+        _HELMHOLTZ_CUTOFF,
+        points=[0.0],
+        epsabs=1e-11,
+        epsrel=1e-11,
+        limit=_QUAD_LIMIT,
+        norm="max",
+        full_output=True,
+    )
+    if info.status != 0:
+        raise NumericsError(f"helmholtz_inv_direct quadrature failed: {info.message}")
+    return val
 
 
 def _dx_G_eta_kernel(x, y_nodes, t, tau, p: ModelParams):
@@ -165,7 +167,9 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     weighted = wq * spline(y)
 
     out = np.empty(g.n_points)
-    chunk = 512
+    # rows per kernel block; one block and its temporaries take about 12 MB at
+    # t - tau = 1, N = 4096, which bounds the peak memory of the oracles suite
+    chunk = 128
     for i0 in range(0, g.n_points, chunk):
         kern = _dx_G_eta_kernel(g.x[i0 : i0 + chunk], y, t, tau, p)
         out[i0 : i0 + chunk] = kern @ weighted

@@ -3,8 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy import integrate as spi
 
-from bbmburgers import ConfigError, make_grid
+from bbmburgers import ConfigError, NumericsError, make_grid
 from bbmburgers import asymptotics as asy
 from bbmburgers import cli
 from bbmburgers import harness as hn
@@ -279,6 +280,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_verify_raises_on_failed_quadrature(self, monkeypatch):
+        # a non-converged oracle quadrature raises instead of printing a result
+        real = spi.quad_vec
+        monkeypatch.setattr(spi, "quad_vec", lambda *a, **kw: real(*a, **{**kw, "limit": 1}))
+        with pytest.raises(NumericsError, match="eta_star oracle quadrature failed"):
+            cli.main(["verify", "--suite", "identities"])
 
     def test_simulate_and_rates(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"

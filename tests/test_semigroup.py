@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bbmburgers import ConfigError, Field, MassMismatchError, ModelParams, make_grid
+from bbmburgers import (ConfigError, Field, MassMismatchError, ModelParams, NumericsError,
+                        make_grid)
 from bbmburgers import profiles as pr
 from bbmburgers import semigroup as sg
 from bbmburgers.core import lp_norm
@@ -120,6 +121,31 @@ class TestHelmholtz:
         direct = sg.helmholtz_inv_direct(f, x_eval=g.x[[0, 40, 90]])
         assert len(calls) == 1
         assert np.abs(direct - sg.helmholtz_inv(f).values[[0, 40, 90]]).max() < 1e-8
+
+    def test_direct_route_cosine_closed_form(self):
+        # (e^{-|u|}/2 on |u| <= c) * cos(k x) has a closed form; the points are off-grid
+        g = make_grid(16.0, 256)
+        k = 5 * np.pi / g.half_width
+        c = sg._HELMHOLTZ_CUTOFF
+        x0 = np.array([-15.3, -2.71, 0.05, 3.3, 11.123])
+        direct = sg.helmholtz_inv_direct(Field(g, np.cos(k * g.x)), x0)
+        exact = (np.cos(k * x0) * (1 + math.exp(-c) * (k * math.sin(k * c) - math.cos(k * c)))
+                 / (1 + k**2))
+        assert np.abs(direct - exact).max() < 1e-10
+
+    def test_direct_route_up_to_nyquist(self, rng):
+        g = make_grid(16.0, 256)
+        f = Field(g, rng.standard_normal(g.n_points))  # content up to the Nyquist mode
+        idx = np.arange(0, g.n_points, 7)
+        direct = sg.helmholtz_inv_direct(f, g.x[idx])
+        assert np.abs(direct - sg.helmholtz_inv(f).values[idx]).max() < 1e-10
+
+    def test_direct_route_raises_when_quadrature_fails(self, rng, monkeypatch):
+        g = make_grid(16.0, 128)
+        f = band_limited(g, rng, n_modes=6)
+        monkeypatch.setattr(sg, "_QUAD_LIMIT", 1)
+        with pytest.raises(NumericsError, match="quadrature failed"):
+            sg.helmholtz_inv_direct(f, g.x[[0, 40, 90]])
 
     def test_l2_contraction(self, grid40, rng):
         f = band_limited(grid40, rng)
