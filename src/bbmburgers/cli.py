@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: profiles, simulate, verify, rates, sweep.
-Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 instability.
+Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 instability,
+4 other numerical error.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from . import asymptotics as asy
 from . import checks
 from . import profiles as pr
 from .core import Field, make_grid
-from .errors import ConfigError, InstabilityError
+from .errors import ConfigError, InstabilityError, NumericsError
 from .harness import run_experiment, scenario_from_json
 from .profiles import ModelParams
 from .solver import Trajectory
@@ -78,22 +79,20 @@ def _cmd_verify(args) -> int:
 def _load_bundle_trajectory(bundle_dir: str):
     with open(os.path.join(bundle_dir, "report.json")) as fh:
         report = json.load(fh)
-    sc = report["scenario"]
-    s = scenario_from_json(sc)
+    s = scenario_from_json(report["scenario"])
     grid = s.grid
-    times = report["solver"]["times"]
-    snaps = []
-    for i, _t in enumerate(times):
-        table = np.loadtxt(
-            os.path.join(bundle_dir, "snapshots", f"snap_{i:03d}.csv"),
-            delimiter=",",
-            skiprows=1,
-        )
-        snaps.append(Field(grid, table[:, 1]))
+    times = np.asarray(report["solver"]["times"])
+    shape = (times.size, grid.n_points)
+    try:
+        values = np.load(os.path.join(bundle_dir, "snapshots.npy"), allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bundle {bundle_dir}: cannot read snapshots.npy: {exc}") from exc
+    if values.shape != shape or values.dtype != np.float64:
+        raise ConfigError(f"bundle {bundle_dir}: snapshots.npy holds {values.dtype} "
+                          f"{values.shape}, expected float64 {shape}")
+    snaps = [Field(grid, row) for row in values]
     masses = np.array([f.mass() for f in snaps])
-    traj = Trajectory(
-        s.params, grid, np.asarray(times), snaps, masses, np.zeros(len(snaps))
-    )
+    traj = Trajectory(s.params, grid, times, snaps, masses, np.zeros(len(snaps)))
     cd = report["constants"]["c_alpha"]
     ps = pr.constants(s.params, c_alpha=(cd["c_plus"], cd["c_minus"]))
     return s, traj, ps
@@ -202,6 +201,9 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return 3
+    except NumericsError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

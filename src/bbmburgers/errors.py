@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: ConfigError -> 2, InstabilityError -> 3,
-failed checks -> 1.
+CLI exit-code mapping: failed checks -> 1, ConfigError -> 2,
+InstabilityError -> 3, any other NumericsError -> 4.
 """
 
 

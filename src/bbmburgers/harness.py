@@ -5,7 +5,6 @@ out/<scenario-hash>/ so that reruns of the same configuration land in the
 same place and must reproduce report.json byte for byte.
 """
 
-import contextlib
 import hashlib
 import json
 import math
@@ -62,10 +61,6 @@ _DATA_KINDS = ("gaussian", "power_tail", "prescribed_r0", "custom_table")
 # mismatch near the origin small so the tail signal dominates early)
 _RAMP_WIDTH = 4.0
 _TAIL_ONSET = 10.0
-
-# rows formatted and written per pass over the bundle's CSV files: a pass holds
-# about 0.1 MB of formatted cells, and larger chunks were no faster
-_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -236,6 +231,11 @@ def data_report(s: Scenario, u0: Field) -> dict:
 def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True):
     """Run one scenario end to end and (optionally) write the bundle.
 
+    The bundle under out_root/<scenario-hash>/ holds report.json, one
+    series/<combo>_<norm>_l<order>.csv per error series and snapshots.npy,
+    the len(times) x N float64 array of the solution samples (x follows from
+    the scenario); reruns reproduce every file byte for byte.
+
     Returns a dict with the report, the trajectory and the error series.
     Raises ConfigError for invalid scenarios and propagates solver errors
     with the failing stage named.
@@ -345,7 +345,6 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
     if write and out_root is not None:
         bundle_dir = os.path.join(out_root, scenario_hash(s))
         os.makedirs(os.path.join(bundle_dir, "series"), exist_ok=True)
-        os.makedirs(os.path.join(bundle_dir, "snapshots"), exist_ok=True)
         report_path = os.path.join(bundle_dir, "report.json")
         with open(report_path, "w") as fh:
             json.dump(report, fh, sort_keys=True, indent=1)
@@ -359,13 +358,18 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
                     scale = np.where(es.times > 0, scale / np.log1p(es.times), np.nan)
             fname = f"{combo.replace('+', '_')}_{nm}_l{l}.csv"
             fpath = os.path.join(bundle_dir, "series", fname)
-            _write_csvs([fpath], "t,value,scaled_value", es.times,
-                        [(es.values, es.values * scale)])
+            _write_csv(fpath, "t,value,scaled_value",
+                       (es.times, es.values, es.values * scale))
             paths[fname] = fpath
-        snap_paths = [os.path.join(bundle_dir, "snapshots", f"snap_{i:03d}.csv")
-                      for i in range(len(traj.snapshots))]
-        _write_csvs(snap_paths, "x,u", grid.x,
-                    [(snap.values,) for snap in traj.snapshots])
+        # the bytes of np.save(np.stack(...)), streamed row by row: no stacked copy
+        snap_path = os.path.join(bundle_dir, "snapshots.npy")
+        with open(snap_path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (len(traj.snapshots), grid.n_points)})
+            for snap in traj.snapshots:
+                snap.values.astype("<f8", copy=False).tofile(fh)
+        paths["snapshots"] = snap_path
         paths["bundle_dir"] = bundle_dir
 
     return {
@@ -377,22 +381,9 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
     }
 
 
-def _write_csvs(paths, header: str, lead: np.ndarray, columns):
-    """Write one CSV per path: the shared float64 column `lead`, then that
-    file's own float64 columns (columns[i] is a tuple of arrays for paths[i]).
-
-    Every cell is the shortest round-trip repr of its float, so the files
-    reload exactly and reruns are byte-identical.  Rows go out in chunks of
-    _CHUNK_ROWS across all files at once, so each `lead` cell is formatted
-    once however many files share it.
-    """
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w")) for p in paths]
-        for fh in files:
-            fh.write(header + "\n")
-        for i0 in range(0, lead.size, _CHUNK_ROWS):
-            i1 = i0 + _CHUNK_ROWS
-            head = list(map(repr, lead[i0:i1].tolist()))
-            for fh, cols in zip(files, columns):
-                rest = map(",".join, zip(*(map(repr, c[i0:i1].tolist()) for c in cols)))
-                fh.write("".join([f"{a},{b}\n" for a, b in zip(head, rest)]))
+def _write_csv(path: str, header: str, columns):
+    """Write float64 columns as one CSV.  Every cell is the shortest round-trip
+    repr of its float, so the file reloads exactly and reruns are byte-identical."""
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(",".join(r) + "\n" for r in rows))

@@ -7,7 +7,7 @@ from scipy import integrate as spi
 
 from bbmburgers import ConfigError, NumericsError, make_grid
 from bbmburgers import asymptotics as asy
-from bbmburgers import cli
+from bbmburgers import checks, cli
 from bbmburgers import harness as hn
 from bbmburgers import profiles as pr
 
@@ -139,7 +139,7 @@ class TestRunExperiment:
             second = fh.read()
         assert first == second
         assert os.path.isdir(os.path.join(out, hn.scenario_hash(s), "series"))
-        assert os.path.isdir(os.path.join(out, hn.scenario_hash(s), "snapshots"))
+        assert os.path.isfile(os.path.join(out, hn.scenario_hash(s), "snapshots.npy"))
         rep = bundle["report"]
         assert rep["cross_checks"]["mass_drift"] < 1e-10
         assert "chi|linf|l0" in rep["fits"]
@@ -203,30 +203,23 @@ class TestRunExperiment:
 
 
 class TestBundleFormat:
-    """Every CSV cell is the shortest round-trip repr of its float."""
+    """snapshots.npy reloads bit for bit; every series CSV cell is the shortest
+    round-trip repr of its float; reruns reproduce every file byte for byte."""
 
-    # the default chunk, several chunks with a short last one, one short chunk
-    @pytest.mark.parametrize("chunk_rows", [None, 100, 1000])
-    def test_snapshots_and_series_are_exact(self, tmp_path, monkeypatch, chunk_rows):
-        if chunk_rows is not None:
-            monkeypatch.setattr(hn, "_CHUNK_ROWS", chunk_rows)
+    @pytest.fixture
+    def nan_bundle(self, tmp_path):
         # t = 0 is sampled, so the log-scaled chi series holds a nan
         s = tiny_scenario(N=512, t_samples=[0.0] + list(np.geomspace(1.0, 50.0, 11)))
-        assert chunk_rows is None or s.N % chunk_rows != 0
-        bundle = hn.run_experiment(s, out_root=str(tmp_path))
+        return s, hn.run_experiment(s, out_root=str(tmp_path))
+
+    def test_snapshots_and_series_are_exact(self, nan_bundle):
+        s, bundle = nan_bundle
         traj = bundle["trajectory"]
-        x = s.grid.x
-        snap_dir = os.path.join(bundle["paths"]["bundle_dir"], "snapshots")
-        assert len(os.listdir(snap_dir)) == len(traj.snapshots)
-        for i, snap in enumerate(traj.snapshots):
-            path = os.path.join(snap_dir, f"snap_{i:03d}.csv")
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-            expected = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, snap.values)]
-            assert lines == ["x,u"] + expected
-            table = np.loadtxt(path, delimiter=",", skiprows=1)
-            assert np.array_equal(table[:, 0], x)
-            assert np.array_equal(table[:, 1], snap.values)
+        stored = np.load(bundle["paths"]["snapshots"], allow_pickle=False)
+        assert stored.dtype == np.float64
+        assert stored.shape == (len(traj.snapshots), s.N)
+        for row, snap in zip(stored, traj.snapshots):
+            assert np.array_equal(row.view(np.uint64), snap.values.view(np.uint64))
 
         saw_nan = False
         for (combo, l, nm), es in bundle["series"].items():
@@ -245,18 +238,43 @@ class TestBundleFormat:
             assert lines == ["t,value,scaled_value"] + expected
         assert saw_nan
 
+    def test_streamed_snapshots_equal_np_save(self, nan_bundle, tmp_path):
+        _, bundle = nan_bundle
+        ref = tmp_path / "ref.npy"
+        np.save(ref, np.stack([snap.values for snap in bundle["trajectory"].snapshots]))
+        with open(bundle["paths"]["snapshots"], "rb") as fh:
+            assert fh.read() == ref.read_bytes()
+
+    def test_rerun_reproduces_every_file(self, nan_bundle):
+        s, bundle = nan_bundle
+        bundle_dir = bundle["paths"]["bundle_dir"]
+
+        def contents():
+            out = {}
+            for root, _, files in os.walk(bundle_dir):
+                for f in files:
+                    path = os.path.join(root, f)
+                    with open(path, "rb") as fh:
+                        out[os.path.relpath(path, bundle_dir)] = fh.read()
+            return out
+
+        first = contents()
+        assert {"report.json", "snapshots.npy"} < set(first)
+        assert sum(name.startswith("series") for name in first) == len(bundle["series"])
+        hn.run_experiment(s, out_root=os.path.dirname(bundle_dir))
+        assert contents() == first
+
     def test_writer_cells_are_shortest_repr(self, tmp_path):
         special = np.array([-0.0, 5e-324, 1e16, 1e-5, np.nan])
-        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
-        columns = [(special[::-1], -special), (special, special)]
-        hn._write_csvs(paths, "x,u,w", special, columns)
-        for path, (u, w) in zip(paths, columns):
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-            assert lines == ["x,u,w"] + [
-                ",".join(repr(float(v)) for v in row) for row in zip(special, u, w)
-            ]
-        with open(paths[0]) as fh:
+        path = str(tmp_path / "a.csv")
+        columns = (special, special[::-1], -special)
+        hn._write_csv(path, "x,u,w", columns)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines == ["x,u,w"] + [
+            ",".join(repr(float(v)) for v in row) for row in zip(*columns)
+        ]
+        with open(path) as fh:
             assert fh.readline() == "x,u,w\n"
             assert fh.readline() == "-0.0,nan,0.0\n"
 
@@ -281,12 +299,21 @@ class TestCli:
         assert rc == 0
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_verify_raises_on_failed_quadrature(self, monkeypatch):
-        # a non-converged oracle quadrature raises instead of printing a result
+    @pytest.fixture
+    def failing_quadrature(self, monkeypatch):
         real = spi.quad_vec
         monkeypatch.setattr(spi, "quad_vec", lambda *a, **kw: real(*a, **{**kw, "limit": 1}))
+
+    def test_verify_raises_on_failed_quadrature(self, failing_quadrature):
+        # a non-converged oracle quadrature raises instead of printing a result
         with pytest.raises(NumericsError, match="eta_star oracle quadrature failed"):
-            cli.main(["verify", "--suite", "identities"])
+            checks.run_suite("identities")
+
+    def test_numerics_error_exit_code(self, failing_quadrature, capsys):
+        assert cli.main(["verify", "--suite", "identities"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith("numerical error: ")
+        assert "eta_star oracle quadrature failed" in err[0]
 
     def test_simulate_and_rates(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
@@ -311,6 +338,23 @@ class TestCli:
         assert "log_power=0" in capsys.readouterr().out
         assert cli.main(args + ["--combo", "chi"]) == 0
         assert "log_power=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "shape", "dtype"])
+    def test_rates_refuses_bad_snapshots(self, tmp_path, capsys, damage):
+        s = tiny_scenario()
+        bundle_dir = hn.run_experiment(s, out_root=str(tmp_path))["paths"]["bundle_dir"]
+        path = os.path.join(bundle_dir, "snapshots.npy")
+        if damage == "missing":  # as in a bundle of the old per-sample CSV layout
+            os.remove(path)
+        elif damage == "truncated":
+            os.truncate(path, os.path.getsize(path) - 8)
+        else:
+            np.save(path, np.zeros((3, s.N)) if damage == "shape"
+                    else np.zeros((12, s.N), dtype=np.float32))
+        assert cli.main(["rates", "--bundle", bundle_dir, "--combo", "chi",
+                         "--norm", "linf", "--l", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and bundle_dir in err
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
