@@ -206,14 +206,22 @@ class TestBundleFormat:
     """snapshots.npy reloads bit for bit; every series CSV cell is the shortest
     round-trip repr of its float; reruns reproduce every file byte for byte."""
 
+    @staticmethod
+    def _nan_bundle(out_root, n_positive=11):
+        # t = 0 is sampled, so the log-scaled chi series holds a nan
+        times = [0.0] + list(np.geomspace(1.0, 50.0, n_positive))
+        s = tiny_scenario(N=512, t_samples=times)
+        return s, hn.run_experiment(s, out_root=str(out_root))
+
     @pytest.fixture
     def nan_bundle(self, tmp_path):
-        # t = 0 is sampled, so the log-scaled chi series holds a nan
-        s = tiny_scenario(N=512, t_samples=[0.0] + list(np.geomspace(1.0, 50.0, 11)))
-        return s, hn.run_experiment(s, out_root=str(tmp_path))
+        return self._nan_bundle(tmp_path)
 
-    def test_snapshots_and_series_are_exact(self, nan_bundle):
-        s, bundle = nan_bundle
+    # the default 12 samples, then 101 and 1001 rows: the .npy header pads a
+    # longer shape string, and every streamed row must land in order
+    @pytest.mark.parametrize("n_positive", [None, 100, 1000])
+    def test_snapshots_and_series_are_exact(self, tmp_path, n_positive):
+        s, bundle = self._nan_bundle(tmp_path, n_positive or 11)
         traj = bundle["trajectory"]
         stored = np.load(bundle["paths"]["snapshots"], allow_pickle=False)
         assert stored.dtype == np.float64
