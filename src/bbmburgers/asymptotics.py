@@ -6,7 +6,8 @@ analytically; the solution itself is differentiated spectrally.  Exponents
 come from least squares of log-values against log(1+t), optionally after
 dividing out a log(1+t) factor, with a Theil-Sen slope reported alongside.
 RATE_CLAIMS states, per alpha branch and combination, the claimed exponent,
-its log power and the kind of test; the harness fits, `bbmburgers rates` and
+its log power and the kind of test; it alone fixes which combinations exist
+(COMBOS) and which a run fits.  The harness fits, `bbmburgers rates` and
 optimal_rate_report all read it.
 """
 
@@ -30,6 +31,8 @@ __all__ = [
     "RateClaim",
     "rate_branch",
     "rate_claim",
+    "claimed_combos",
+    "default_window",
     "error_series",
     "error_series_multi",
     "fit_rate",
@@ -37,9 +40,6 @@ __all__ = [
     "window_stability",
     "optimal_rate_report",
 ]
-
-COMBOS = ("chi", "chi+Z", "chi+V", "chi+Z+V")
-
 
 @dataclass
 class ErrorSeries:
@@ -81,14 +81,6 @@ def _norm_value(grid, a, norm: str) -> float:
     raise ConfigError(f"unsupported norm '{norm}'; use 'l2' or 'linf'")
 
 
-def _parse_combo(combo: str):
-    parts = combo.split("+")
-    known = {"chi", "Z", "V"}
-    if not parts or any(q not in known for q in parts):
-        raise ConfigError(f"unknown profile combination '{combo}'")
-    return set(parts)
-
-
 def error_series_multi(
     traj: Trajectory,
     ps: ProfileSet,
@@ -96,10 +88,10 @@ def error_series_multi(
     orders=(0,),
     norms=("linf",),
 ) -> dict:
-    """Error series for several combinations at once.
+    """Error series for several combinations of COMBOS at once.
 
     Profile fields are evaluated once per snapshot and shared across the
-    requested combinations.
+    requested combinations; V and Z only when a combination holds them.
     Norms are taken over the measurement window |x| <= 0.8 L, outside of
     which the tail taper makes the box solution diverge from the whole-line
     profiles by construction.  Returns {(combo, order, norm): ErrorSeries}.
@@ -108,29 +100,29 @@ def error_series_multi(
     grid = traj.grid
     x = grid.x
     mask = np.abs(x) <= MEASUREMENT_FRACTION * grid.half_width
-    combo_sets = {c: _parse_combo(c) for c in combos}
-    need_z = any("Z" in s for s in combo_sets.values())
-    max_l = max(orders)
-    if need_z and max_l > 1:
+    unknown = [c for c in combos if c not in COMBOS]
+    if unknown:
+        raise ConfigError(f"unknown profile combinations {unknown}; use {COMBOS}")
+    need_z = any("Z" in c for c in combos)
+    need_v = any("V" in c for c in combos)
+    if need_z and max(orders) > 1:
         raise ConfigError("Z combinations support derivative orders 0 and 1 only")
 
     acc = {(c, l, nm): [] for c in combos for l in orders for nm in norms}
     for t, snap in zip(traj.times, traj.snapshots):
         chi_t = chi(x, t, p)
-        v_t = V(x, t, p, ps)
+        v_t = V(x, t, p, ps) if need_v else None
         z_t = {}
         if need_z and t > 0:
             for l in orders:
                 z_t[l] = Z_eval(x[mask], t, p, ps, derivative=l)
-        for combo, parts in combo_sets.items():
-            base = snap.values.copy()
-            if "chi" in parts:
-                base -= chi_t
-            if "V" in parts:
+        for combo in combos:
+            base = snap.values - chi_t
+            if "V" in combo:
                 base -= v_t
             for l in orders:
                 arr = grid.deriv(base, l)[mask]
-                if "Z" in parts and t > 0:
+                if "Z" in combo and t > 0:
                     arr = arr - z_t[l]
                 for nm in norms:
                     acc[(combo, l, nm)].append(_norm_value(grid, arr, nm))
@@ -228,6 +220,15 @@ class RateClaim:
 
     BAND_SLOPE_TOL: ClassVar[float] = 0.1  # reported with band fits in report.json
 
+    def scale(self, t):
+        """The inverse of the claimed law at times t,
+        (1+t)^(-exponent) / log(1+t)^log_power; nan where the log vanishes."""
+        scale = (1.0 + t) ** (-self.exponent)
+        if self.log_power:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.where(t > 0, scale / np.log1p(t), np.nan)
+        return scale
+
     def judge(self, ratio: float, slope: float) -> dict:
         if self.kind == "band":
             return {"ratio_ok": ratio <= 10.0,
@@ -260,6 +261,9 @@ RATE_CLAIMS = {
     ("alpha_gt_2", "chi+V"): (_diffusive_rate, 0, "bounded"),
 }
 
+# every claimed combination, in table order
+COMBOS = tuple(dict.fromkeys(combo for _, combo in RATE_CLAIMS))
+
 
 def rate_branch(alpha: float) -> str:
     """The RATE_CLAIMS branch of a tail exponent alpha > 1."""
@@ -268,16 +272,25 @@ def rate_branch(alpha: float) -> str:
     return "alpha_eq_2" if alpha == 2.0 else "alpha_gt_2"
 
 
+def claimed_combos(alpha: float) -> list:
+    """The combinations RATE_CLAIMS holds for the branch of alpha, in table order."""
+    branch = rate_branch(alpha)
+    return [c for b, c in RATE_CLAIMS if b == branch]
+
+
 def rate_claim(alpha: float, combo: str, l: int = 0) -> RateClaim:
     """The RATE_CLAIMS entry for one combination and derivative order."""
     branch = rate_branch(alpha)
     if (branch, combo) not in RATE_CLAIMS:
-        claimed = [c for b, c in RATE_CLAIMS if b == branch]
-        raise ConfigError(
-            f"no rate claim for '{combo}' at alpha={alpha:g}; claimed: {claimed}"
-        )
+        raise ConfigError(f"no rate claim for '{combo}' at alpha={alpha:g}; "
+                          f"claimed: {claimed_combos(alpha)}")
     exponent, log_power, kind = RATE_CLAIMS[(branch, combo)]
     return RateClaim(exponent(alpha) - 0.5 * l, log_power, kind)
+
+
+def default_window(times) -> tuple:
+    """The default fit window: the first positive sample time to the last."""
+    return float(times[times > 0][0]), float(times[-1])
 
 
 _DEGENERATE_FLOOR = 1e-13
@@ -285,15 +298,11 @@ _DEGENERATE_FLOOR = 1e-13
 
 def _scaled_entry(es: ErrorSeries, window, claim: RateClaim) -> dict:
     """Scale the error by the inverse of its claimed law on the window and judge it."""
-    power = -claim.exponent
-    label = f"(1+t)^{power:g}" + ("/log(1+t)" if claim.log_power else "")
+    label = f"(1+t)^{-claim.exponent:g}" + ("/log(1+t)" if claim.log_power else "")
     entry = {"combo": es.combo, "scaling": label}
     sel = (es.times >= window[0]) & (es.times <= window[1]) & (es.times > 0)
     t = es.times[sel]
-    scale = (1.0 + t) ** power
-    if claim.log_power:
-        scale = scale / np.log1p(t)
-    r = es.values[sel] * scale
+    r = es.values[sel] * claim.scale(t)
     if np.any(r <= _DEGENERATE_FLOOR):
         entry["status"] = "degenerate"
         return entry
@@ -318,7 +327,7 @@ def optimal_rate_report(
     p = traj.params
     alpha = p.alpha
     if window is None:
-        window = (float(traj.times[traj.times > 0][0]), float(traj.times[-1]))
+        window = default_window(traj.times)
     if p.mass == 0.0:
         raise HypothesisViolationError("optimal-rate claims require M != 0")
     branch = rate_branch(alpha)
@@ -338,11 +347,8 @@ def optimal_rate_report(
         "branch": branch,
     }
 
-    judged = {
-        combo: rate_claim(alpha, combo, l)
-        for (b, combo), (_, _, kind) in RATE_CLAIMS.items()
-        if b == branch and kind != "diagnostic"
-    }
+    claims = {combo: rate_claim(alpha, combo, l) for combo in claimed_combos(alpha)}
+    judged = {combo: c for combo, c in claims.items() if c.kind != "diagnostic"}
     series = error_series_multi(traj, ps, list(judged), orders=(l,), norms=("linf",))
     log_applicable = ps.kappa != 0.0 and ps.mu1 != 0.0
     for combo, claim in judged.items():

@@ -20,7 +20,7 @@ from . import checks
 from . import profiles as pr
 from .core import Field, make_grid
 from .errors import ConfigError, InstabilityError, NumericsError
-from .harness import run_experiment, scenario_from_json
+from .harness import _write_csv, run_experiment, scenario_from_json
 from .profiles import ModelParams
 from .solver import Trajectory
 
@@ -47,10 +47,7 @@ def _cmd_profiles(args) -> int:
         if args.z_time is not None:
             cols.append(pr.Z_eval(x, args.z_time, p, ps))
             header += f",Z_t{args.z_time:g}"
-        with open(args.table_out, "w") as fh:
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_csv(args.table_out, header, cols)
         print(f"wrote {args.table_out}")
     return 0
 
@@ -101,8 +98,7 @@ def _load_bundle_trajectory(bundle_dir: str):
 def _cmd_rates(args) -> int:
     s, traj, ps = _load_bundle_trajectory(args.bundle)
     es = asy.error_series(traj, args.combo, args.l, args.norm, ps)
-    window = (args.window[0], args.window[1]) if args.window else (
-        float(traj.times[traj.times > 0][0]), float(traj.times[-1]))
+    window = tuple(args.window) if args.window else asy.default_window(traj.times)
     claim = asy.rate_claim(s.alpha, args.combo, args.l)
     fit = asy.fit_rate(es, window, log_power=claim.log_power)
     print(f"combo={args.combo} norm={args.norm} l={args.l} window={window}")

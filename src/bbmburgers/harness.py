@@ -9,7 +9,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import shutil
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -35,23 +36,6 @@ __all__ = [
     "default_t_samples",
     "make_initial_data",
     "run_experiment",
-]
-
-_CONFIG_KEYS = [
-    "name",
-    "beta",
-    "gamma",
-    "alpha",
-    "mass",
-    "data_kind",
-    "amplitude",
-    "c_plus",
-    "c_minus",
-    "L",
-    "N",
-    "t_samples",
-    "norms",
-    "derivative_orders",
 ]
 
 _DATA_KINDS = ("gaussian", "power_tail", "prescribed_r0", "custom_table")
@@ -108,6 +92,13 @@ class Scenario:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# every field is hashed, table_path only when set; the fields without a
+# default are required
+_CONFIG_KEYS = [f.name for f in fields(Scenario) if f.name != "table_path"]
+_REQUIRED_KEYS = {f.name for f in fields(Scenario)
+                  if f.default is MISSING and f.default_factory is MISSING}
+
+
 def scenario_hash(s: Scenario) -> str:
     return hashlib.sha256(s.canonical_json().encode()).hexdigest()[:12]
 
@@ -116,18 +107,18 @@ def scenario_from_json(doc) -> Scenario:
     """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    extra = set(doc) - set(_CONFIG_KEYS) - {"table_path"}
+    extra = set(doc) - {f.name for f in fields(Scenario)}
     if extra:
         raise ConfigError(f"unknown scenario keys: {sorted(extra)}")
-    missing = {"name", "beta", "gamma", "alpha", "mass", "data_kind"} - set(doc)
+    missing = _REQUIRED_KEYS - set(doc)
     if missing:
         raise ConfigError(f"scenario is missing keys: {sorted(missing)}")
     return Scenario(**doc)
 
 
-def default_t_samples(L: float, n: int = 32) -> np.ndarray:
-    """Geometric sample times from 1 to the validity horizon (L/8)^2."""
-    return np.geomspace(1.0, (L / 8.0) ** 2, n)
+def default_t_samples(L: float) -> np.ndarray:
+    """32 geometric sample times from 1 to the validity horizon (L/8)^2."""
+    return np.geomspace(1.0, (L / 8.0) ** 2, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +219,16 @@ def data_report(s: Scenario, u0: Field) -> dict:
 # ---------------------------------------------------------------------------
 # Experiment pipeline
 
-def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True):
-    """Run one scenario end to end and (optionally) write the bundle.
+def run_experiment(s: Scenario, out_root: str | None = "out"):
+    """Run one scenario end to end and write the bundle unless out_root is None.
 
     The bundle under out_root/<scenario-hash>/ holds report.json, one
     series/<combo>_<norm>_l<order>.csv per error series and snapshots.npy,
     the len(times) x N float64 array of the solution samples (x follows from
-    the scenario); reruns reproduce every file byte for byte.
+    the scenario).  The directory is cleared first, so reruns reproduce every
+    file byte for byte and leave nothing else.  The fitted combinations are
+    the RATE_CLAIMS combinations of the scenario's alpha branch; chi+Z is
+    dropped when both tail constants c_alpha are zero.
 
     Returns a dict with the report, the trajectory and the error series.
     Raises ConfigError for invalid scenarios and propagates solver errors
@@ -258,19 +252,13 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
 
     traj = integrate(u0, p, t_samples)
 
-    combos = ["chi"]
-    if 1.0 < s.alpha <= 2.0 and (ps.c_alpha_plus != 0.0 or ps.c_alpha_minus != 0.0):
-        combos.append("chi+Z")
-    if s.alpha >= 2.0:
-        combos.append("chi+V")
-    if s.alpha == 2.0:
-        combos.append("chi+Z+V")
+    has_tail = ps.c_alpha_plus != 0.0 or ps.c_alpha_minus != 0.0
+    combos = [c for c in asy.claimed_combos(s.alpha) if has_tail or c != "chi+Z"]
     orders = tuple(s.derivative_orders)
     norms = tuple(s.norms)
     series = asy.error_series_multi(traj, ps, combos, orders=orders, norms=norms)
 
-    positive = traj.times > 0
-    window = (float(traj.times[positive][0]), float(traj.times[-1]))
+    window = asy.default_window(traj.times)
     fits = {}
     for (combo, l, nm), es in series.items():
         claim = asy.rate_claim(s.alpha, combo, l)
@@ -342,8 +330,10 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
     }
 
     paths = {}
-    if write and out_root is not None:
+    if out_root is not None:
         bundle_dir = os.path.join(out_root, scenario_hash(s))
+        if os.path.isdir(bundle_dir):
+            shutil.rmtree(bundle_dir)
         os.makedirs(os.path.join(bundle_dir, "series"), exist_ok=True)
         report_path = os.path.join(bundle_dir, "report.json")
         with open(report_path, "w") as fh:
@@ -351,11 +341,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out", write: bool = True
             fh.write("\n")
         paths["report"] = report_path
         for (combo, l, nm), es in series.items():
-            claim = asy.rate_claim(s.alpha, combo, l)
-            scale = (1.0 + es.times) ** (-claim.exponent)
-            if claim.log_power == 1:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    scale = np.where(es.times > 0, scale / np.log1p(es.times), np.nan)
+            scale = asy.rate_claim(s.alpha, combo, l).scale(es.times)
             fname = f"{combo.replace('+', '_')}_{nm}_l{l}.csv"
             fpath = os.path.join(bundle_dir, "series", fname)
             _write_csv(fpath, "t,value,scaled_value",

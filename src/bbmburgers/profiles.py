@@ -480,19 +480,18 @@ def _f_M(x, M: float):
     return 2.0 * math.sinh(M / 4.0) * np.exp(-(x**2) / 4.0) / (SQRT_PI * _H_weight(x, M))
 
 
-def fM_check(p: ModelParams, x=None) -> dict:
+def fM_check(p: ModelParams) -> dict:
     """Deviations of the two historical profile formulas from this module's.
 
     Evaluates the log-derivative form of the self-similar wave and the
     weighted-integral form of the log-correction generator, and returns the
-    max deviation from chi_star and from -kappa d V_star on a reference grid.
+    max deviation from chi_star and from -kappa d V_star on 2001 points of
+    [-20, 20].
     Only defined for beta = 1.
     """
     if p.beta != 1.0:
         raise ConfigError("the historical formulas assume beta = 1")
-    if x is None:
-        x = np.linspace(-20.0, 20.0, 2001)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.linspace(-20.0, 20.0, 2001)
     M = p.mass
 
     f_M = _f_M(x, M)

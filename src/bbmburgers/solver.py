@@ -12,10 +12,11 @@ state, the fine result is kept when max|u_2n - u_n|/15 <= _RTOL max|u_2n|, and
 the next step is h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
 A rejected trial (error too large, or a blow-up caught by the sentinel) shrinks
 h and retries the segment, at most _MAX_REJECTIONS times in a row.  An explicit
-dt marches fixed uniform steps instead, with no retry: the independent route
-the self-convergence oracles use.
+integrate dt marches fixed uniform steps instead, with no retry: the
+independent route the self-convergence oracles use.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,7 @@ _PHI_SMALL = 1e-2  # below this |z|, closed forms cancel; switch to Taylor
 _PHI_TERMS = 13
 _BLOWUP_FACTOR = 1e6
 _NONLINEAR_STABILITY = 2.8  # explicit RK4-type stability radius
+_MAX_AMPLITUDE = 0.5  # small-data cap on ||u0||_inf
 
 # step-doubling controller
 _RTOL = 1e-7  # accepted error of a segment, relative to max|u| at its end
@@ -230,8 +232,7 @@ def _check_samples(grid: GridSpec, t_samples) -> np.ndarray:
 
 
 class _Stepper:
-    """Advances the state over one sample segment at a time, holding at most two
-    ETD tableaux (about 0.8 MB each at N = 16384): the current segment's."""
+    """Advances the state over one sample segment at a time."""
 
     def __init__(self, grid, linear, nl, threshold):
         self.linear = linear
@@ -239,15 +240,10 @@ class _Stepper:
         self.threshold = threshold
         self.band = grid.nyquist_band
         self.n_points = grid.n_points
-        self._tableaux = {}
 
     def march(self, uhat, t0, dt, n):
         """n steps of dt from t0: (spectrum, Nyquist-band peak)."""
-        if dt not in self._tableaux:
-            if len(self._tableaux) == 2:
-                del self._tableaux[next(iter(self._tableaux))]
-            self._tableaux[dt] = _EtdCoeffs(self.linear, dt)
-        coeffs = self._tableaux[dt]
+        coeffs = _EtdCoeffs(self.linear, dt)
         return _march(uhat, t0, n, coeffs, self.nl, self.threshold, self.band)
 
     def fixed(self, uhat, t0, t1, dt):
@@ -349,11 +345,10 @@ def integrate(
     p: ModelParams,
     t_samples,
     dt: float | None = None,
-    max_amplitude: float = 0.5,
 ) -> Trajectory:
     """Integrate the full equation, sampling at t_samples.
 
-    Small-data regime is enforced (||u0||_inf <= max_amplitude).  By default
+    Small-data regime is enforced (||u0||_inf <= _MAX_AMPLITUDE).  By default
     the step is error-controlled per sample segment (step doubling against
     _RTOL, see the module docstring), with the coarse step capped by the
     nonlinear stability guard; a blow-up is a rejected trial.  An explicit dt
@@ -362,9 +357,9 @@ def integrate(
     """
     ts = _check_samples(u0.grid, t_samples)
     amp = float(np.abs(u0.values).max())
-    if amp > max_amplitude:
+    if amp > _MAX_AMPLITUDE:
         raise ConfigError(
-            f"||u0||_inf = {amp:.3g} exceeds the small-data cap {max_amplitude}"
+            f"||u0||_inf = {amp:.3g} exceeds the small-data cap {_MAX_AMPLITUDE}"
         )
     dt_guard = _dt_max_bbmb(p, max(amp, 1e-12))
     if dt is not None and (dt <= 0 or dt > dt_guard):
@@ -379,26 +374,12 @@ def integrate(
 # ---------------------------------------------------------------------------
 # Linearized problems around the diffusion wave
 
-class _ChiCache:
-    """Analytic evaluation of chi at stage times, memoized on recent times."""
-
-    def __init__(self, grid: GridSpec, p: ModelParams):
-        self.x = grid.x
-        self.p = p
-        self._store = {}
-
-    def __call__(self, t: float):
-        got = self._store.get(t)
-        if got is None:
-            got = chi(self.x, t, self.p)
-            if len(self._store) > 8:
-                self._store.clear()
-            self._store[t] = got
-        return got
-
-
 def _aux_nl(grid: GridSpec, p: ModelParams, lam):
-    chi_at = _ChiCache(grid, p)
+    # chi analytically at the stage times, which recur across stages and trials
+    @functools.lru_cache(maxsize=8)
+    def chi_at(t):
+        return chi(grid.x, t, p)
+
     dxi = np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
     dxi_full = 1j * grid.xi_half_odd
     N = grid.n_points
@@ -418,7 +399,6 @@ def solve_aux(
     lam,
     p: ModelParams,
     t_samples,
-    dt: float | None = None,
 ) -> Trajectory:
     """Linear convection-diffusion around the wave: z_t + (beta chi z)_x - z_xx = lam_x.
 
@@ -429,7 +409,6 @@ def solve_aux(
     unbounded in xi) as the cap.  The guard of each segment uses max|chi| at the
     segment's start, which bounds chi over the whole segment because
     sup|chi(., t)| is non-increasing in t; the cap thus grows like sqrt(1 + t).
-    An explicit dt must lie within the guard at t = 0.
     """
     ts = _check_samples(z0.grid, t_samples)
     g = z0.grid
@@ -439,23 +418,13 @@ def solve_aux(
         chi_peak = float(np.abs(chi(g.x, t, p)).max())
         return _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * xi_max, 1e-12)
 
-    if dt is not None and (dt <= 0 or dt > dt_guard(0.0)):
-        raise ConfigError(f"dt={dt} exceeds the convection stability guard")
     return _run_trajectory(
-        g,
-        p,
-        z0.values,
-        ts,
-        -(g.xi_half**2) + 0.0j,
-        _aux_nl(g, p, lam),
-        dt,
+        g, p, z0.values, ts, -(g.xi_half**2) + 0.0j, _aux_nl(g, p, lam), None,
         dt_guard,
     )
 
 
-def solve_second_aux(
-    p: ModelParams, grid: GridSpec, t_samples, dt: float | None = None
-) -> Trajectory:
+def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
     """Zero-data flow forced by the dispersive tail of the wave:
     v_t + (beta chi v)_x - v_xx = -gamma chi_xxx, v(0) = 0."""
     if abs(p.mass) > 1.0:
@@ -465,4 +434,4 @@ def solve_second_aux(
     def lam(t):
         return -p.gamma * chi_xx(grid.x, t, p)
 
-    return solve_aux(z0, lam if p.gamma != 0.0 else None, p, t_samples, dt=dt)
+    return solve_aux(z0, lam if p.gamma != 0.0 else None, p, t_samples)

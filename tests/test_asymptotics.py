@@ -66,8 +66,10 @@ class TestErrorSeries:
     def test_unknown_combo_rejected(self):
         g = make_grid(100.0, 1024)
         traj = synthetic_trajectory(g, P, [1.0, 2.0], lambda t: pr.chi(g.x, t, P))
-        with pytest.raises(ConfigError):
-            asy.error_series(traj, "chi+Q", 0, "linf", pr.constants(P))
+        # only the RATE_CLAIMS combinations exist, not every join of chi, Z, V
+        for combo in ("chi+Q", "V", "Z+V", "V+chi"):
+            with pytest.raises(ConfigError):
+                asy.error_series(traj, combo, 0, "linf", pr.constants(P))
 
     def test_z_high_derivative_rejected(self):
         g = make_grid(100.0, 1024)

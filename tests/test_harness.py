@@ -147,7 +147,7 @@ class TestRunExperiment:
 
     def test_step_counts_reported(self, flaky_march):
         flaky_march(1)
-        report = hn.run_experiment(tiny_scenario(), write=False, out_root=None)["report"]
+        report = hn.run_experiment(tiny_scenario(), out_root=None)["report"]
         solver = report["solver"]
         assert solver["steps_rejected"] == 1
         assert solver["steps_accepted"] >= 2 * solver["segments"]
@@ -160,7 +160,7 @@ class TestRunExperiment:
         s = tiny_scenario(alpha=alpha, data_kind="prescribed_r0", c_plus=1.0,
                           c_minus=-1.0, L=50.0, N=1024,
                           t_samples=list(np.geomspace(1.0, 36.0, 12)))
-        fits = hn.run_experiment(s, write=False, out_root=None)["report"]["fits"]
+        fits = hn.run_experiment(s, out_root=None)["report"]["fits"]
         kinds = set()
         for fit in fits.values():
             kinds.add(fit["claim_kind"])
@@ -187,19 +187,25 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_every_emitted_combo_has_a_claim(self, alpha):
-        s = tiny_scenario(alpha=alpha, data_kind="prescribed_r0", c_plus=1.0,
-                          c_minus=-1.0, L=50.0, N=1024,
-                          t_samples=list(np.geomspace(1.0, 36.0, 9)))
-        series = hn.run_experiment(s, write=False, out_root=None)["series"]
-        combos = {combo for combo, _, _ in series}
-        assert "chi" in combos and len(combos) >= 2
-        for combo in combos:
-            assert (asy.rate_branch(alpha), combo) in asy.RATE_CLAIMS
+        # the emitted combinations are the branch's RATE_CLAIMS combinations for
+        # a tail, no tail (gaussian) and a zero tail; chi+Z is dropped only where
+        # both tail constants are zero
+        for data in (dict(data_kind="prescribed_r0", c_plus=1.0, c_minus=-1.0),
+                     dict(data_kind="gaussian"),
+                     dict(data_kind="prescribed_r0", c_plus=0.0, c_minus=0.0)):
+            s = tiny_scenario(alpha=alpha, L=50.0, N=1024,
+                              t_samples=list(np.geomspace(1.0, 36.0, 9)), **data)
+            bundle = hn.run_experiment(s, out_root=None)
+            ps = bundle["profile_set"]
+            no_tail = ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0
+            claimed = [c for b, c in asy.RATE_CLAIMS if b == asy.rate_branch(alpha)
+                       and not (no_tail and c == "chi+Z")]
+            assert [combo for combo, _, _ in bundle["series"]] == claimed
 
     def test_validity_window_refused_up_front(self):
         s = tiny_scenario(t_samples=[1.0, 1e5])
         with pytest.raises(ConfigError):
-            hn.run_experiment(s, write=False, out_root=None)
+            hn.run_experiment(s, out_root=None)
 
 
 class TestBundleFormat:
@@ -269,8 +275,13 @@ class TestBundleFormat:
         first = contents()
         assert {"report.json", "snapshots.npy"} < set(first)
         assert sum(name.startswith("series") for name in first) == len(bundle["series"])
+        # a stale file of the per-sample CSV layout must not survive the rerun
+        os.makedirs(os.path.join(bundle_dir, "snapshots"))
+        with open(os.path.join(bundle_dir, "snapshots", "snap_000.csv"), "w") as fh:
+            fh.write("x,u\n")
         hn.run_experiment(s, out_root=os.path.dirname(bundle_dir))
         assert contents() == first
+        assert not os.path.exists(os.path.join(bundle_dir, "snapshots"))
 
     def test_writer_cells_are_shortest_repr(self, tmp_path):
         special = np.array([-0.0, 5e-324, 1e16, 1e-5, np.nan])
