@@ -26,6 +26,7 @@ __all__ = [
     "chi",
     "chi_x",
     "chi_xx",
+    "chi_and_chi_xx",
     "chi_t",
     "eta_star",
     "eta",
@@ -112,11 +113,16 @@ def chi_star_deriv(x, p: ModelParams):
     return -0.5 * np.asarray(x) * c + 0.5 * p.beta * c * c
 
 
+def _chi_star_deriv2_of(y, c, beta: float):
+    """chi_star'' at y from c = chi_star(y): the stationary Burgers relation
+    c' = -y c/2 + beta c^2/2 differentiated once more."""
+    c1 = -0.5 * y * c + 0.5 * beta * c * c
+    return -0.5 * c - 0.5 * y * c1 + beta * c * c1
+
+
 def chi_star_deriv2(x, p: ModelParams):
     x = np.asarray(x, dtype=np.float64)
-    c = chi_star(x, p)
-    c1 = -0.5 * x * c + 0.5 * p.beta * c * c
-    return -0.5 * c - 0.5 * x * c1 + p.beta * c * c1
+    return _chi_star_deriv2_of(x, chi_star(x, p), p.beta)
 
 
 def chi(x, t, p: ModelParams):
@@ -132,9 +138,16 @@ def chi_x(x, t, p: ModelParams):
     return chi_star_deriv(np.asarray(x) / s, p) / (1.0 + t)
 
 
-def chi_xx(x, t, p: ModelParams):
+def chi_and_chi_xx(x, t, p: ModelParams):
+    """chi and chi_xx at one time from a single chi_star evaluation."""
     s = math.sqrt(1.0 + t)
-    return chi_star_deriv2(np.asarray(x) / s, p) / (1.0 + t) ** 1.5
+    y = np.asarray(x, dtype=np.float64) / s
+    c = chi_star(y, p)
+    return c / s, _chi_star_deriv2_of(y, c, p.beta) / (1.0 + t) ** 1.5
+
+
+def chi_xx(x, t, p: ModelParams):
+    return chi_and_chi_xx(x, t, p)[1]
 
 
 def chi_t(x, t, p: ModelParams):
@@ -422,16 +435,34 @@ def _tail_windows(grid: GridSpec):
 
 
 def extract_c_alpha_detailed(r0: Field, p: ModelParams):
-    """Window-averaged tail limits of r0, with the spread over each window."""
-    left, right = _tail_windows(r0.grid)
-    scaled = (1.0 + np.abs(r0.grid.x)) ** (p.alpha - 1.0) * r0.values
-    return {
+    """Window-averaged tail limits of r0, with the spread over each window.
+
+    A limit below the round-off bound of its window mean is zeroed: r0 eta_star
+    is a cumulative trapezoid, whose running sum carries an error of at most
+    about N eps times the sum of its increments |dx (dev_k + dev_(k+1))/2|, and
+    the window scaling multiplies it by up to max (1 + |x|)^(alpha-1) / eta_star.
+    A zeroed limit is recorded, with the bound, under "zeroed_below_roundoff".
+    """
+    g = r0.grid
+    left, right = _tail_windows(g)
+    weight = (1.0 + np.abs(g.x)) ** (p.alpha - 1.0)
+    scaled = weight * r0.values
+    es = eta_star(g.x, p)
+    increments = np.abs(np.diff(r0.values * es)).sum()
+    bound = float(g.n_points * np.finfo(np.float64).eps * increments
+                  * (weight / es)[left | right].max())
+    out = {
         "c_plus": float(scaled[right].mean()),
         "c_minus": float(scaled[left].mean()),
         "c_plus_spread": float(scaled[right].std()),
         "c_minus_spread": float(scaled[left].std()),
-        "window": [0.5 * r0.grid.half_width, 0.7 * r0.grid.half_width],
+        "window": [0.5 * g.half_width, 0.7 * g.half_width],
     }
+    zeroed = {k: out[k] for k in ("c_plus", "c_minus") if 0.0 < abs(out[k]) < bound}
+    if zeroed:
+        out.update(dict.fromkeys(zeroed, 0.0))
+        out["zeroed_below_roundoff"] = {"bound": bound, **zeroed}
+    return out
 
 
 def _quad_d(p: ModelParams, tol: float) -> float:

@@ -16,7 +16,6 @@ integrate dt marches fixed uniform steps instead, with no retry: the
 independent route the self-convergence oracles use.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .core import Field, GridSpec, half_spectrum_energy
 from .errors import ConfigError, InstabilityError
-from .profiles import ModelParams, chi, chi_xx
+from .profiles import ModelParams, chi, chi_and_chi_xx
 
 __all__ = [
     "Trajectory",
@@ -374,24 +373,49 @@ def integrate(
 # ---------------------------------------------------------------------------
 # Linearized problems around the diffusion wave
 
-def _aux_nl(grid: GridSpec, p: ModelParams, lam):
-    # chi analytically at the stage times, which recur across stages and trials
-    @functools.lru_cache(maxsize=8)
-    def chi_at(t):
-        return chi(grid.x, t, p)
+def _aux_nl(grid: GridSpec, p: ModelParams, profiles):
+    """The convection and forcing stages of the linearized flows, and chi by time.
 
-    dxi = np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
+    profiles(t) returns chi and the forcing values (or None) at t.  A step has
+    three distinct stage times (t, t + h/2, t + h) and its last is the next
+    step's first, so a cache of the last two stage times, each holding chi and
+    the forcing's spectrum dxi rfft(lam), evaluates profiles and that rfft once
+    per distinct stage time of a march.
+    """
+    conv = -p.beta * np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
     dxi_full = 1j * grid.xi_half_odd
     N = grid.n_points
+    cache = {}
+
+    def at(t):
+        entry = cache.get(t)
+        if entry is None:
+            chi_t, lam_t = profiles(t)
+            forcing = None if lam_t is None else dxi_full * np.fft.rfft(lam_t)
+            if len(cache) == 2:
+                del cache[next(iter(cache))]
+            entry = cache[t] = (chi_t, forcing)
+        return entry
 
     def nl(zhat, t):
-        z = np.fft.irfft(zhat, n=N)
-        out = -p.beta * dxi * np.fft.rfft(chi_at(t) * z)
-        if lam is not None:
-            out = out + dxi_full * np.fft.rfft(lam(t))
-        return out
+        chi_t, forcing = at(t)
+        out = conv * np.fft.rfft(chi_t * np.fft.irfft(zhat, n=N))
+        return out if forcing is None else out + forcing
 
-    return nl
+    return nl, lambda t: at(t)[0]
+
+
+class _WaveForcing:
+    """The dispersive forcing lam(t) = -gamma chi_xx(x, t) of solve_second_aux,
+    which solve_aux reads with chi from one chi_star evaluation per time."""
+
+    def __init__(self, x, p: ModelParams):
+        self.x = x
+        self.p = p
+
+    def profiles(self, t):
+        chi_t, chi_xx_t = chi_and_chi_xx(self.x, t, self.p)
+        return chi_t, -self.p.gamma * chi_xx_t
 
 
 def solve_aux(
@@ -403,8 +427,11 @@ def solve_aux(
     """Linear convection-diffusion around the wave: z_t + (beta chi z)_x - z_xx = lam_x.
 
     The heat part is exact per step; the convection term and the forcing are
-    advanced by the exponential stages with chi evaluated analytically at
-    stage times.  lam is a callable t -> grid values of the forcing, or None.
+    advanced by the exponential stages.  lam is a callable t -> grid values of
+    the forcing, or None.  chi (analytic) and lam are evaluated once per
+    distinct stage time of a march: chi and the forcing's spectrum are kept
+    for the last two stage times (256 KB at N = 8192), so a segment of n
+    accepted steps without a rejected trial evaluates them at most 3 n + 2 times.
     Steps are chosen as in integrate, with the convection guard (xi chi is
     unbounded in xi) as the cap.  The guard of each segment uses max|chi| at the
     segment's start, which bounds chi over the whole segment because
@@ -413,25 +440,31 @@ def solve_aux(
     ts = _check_samples(z0.grid, t_samples)
     g = z0.grid
     xi_max = g.xi_half[-1]
+    if isinstance(lam, _WaveForcing):
+        profiles = lam.profiles
+    else:
+        def profiles(t):
+            return chi(g.x, t, p), None if lam is None else lam(t)
+    nl, chi_at = _aux_nl(g, p, profiles)
 
     def dt_guard(t):
-        chi_peak = float(np.abs(chi(g.x, t, p)).max())
+        chi_peak = float(np.abs(chi_at(t)).max())
         return _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * xi_max, 1e-12)
 
     return _run_trajectory(
-        g, p, z0.values, ts, -(g.xi_half**2) + 0.0j, _aux_nl(g, p, lam), None,
-        dt_guard,
+        g, p, z0.values, ts, -(g.xi_half**2) + 0.0j, nl, None, dt_guard,
     )
 
 
 def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
     """Zero-data flow forced by the dispersive tail of the wave:
-    v_t + (beta chi v)_x - v_xx = -gamma chi_xxx, v(0) = 0."""
+    v_t + (beta chi v)_x - v_xx = -gamma chi_xxx, v(0) = 0.
+
+    Each stage time's chi and forcing -gamma chi_xx come from one chi_star
+    evaluation, bit-identical to solve_aux with lam(t) = -gamma chi_xx(x, t).
+    """
     if abs(p.mass) > 1.0:
         raise ConfigError("|mass| <= 1 required by the wave decay estimates")
     z0 = Field(grid, np.zeros(grid.n_points))
-
-    def lam(t):
-        return -p.gamma * chi_xx(grid.x, t, p)
-
-    return solve_aux(z0, lam if p.gamma != 0.0 else None, p, t_samples)
+    lam = _WaveForcing(grid.x, p) if p.gamma != 0.0 else None
+    return solve_aux(z0, lam, p, t_samples)

@@ -202,6 +202,19 @@ class TestRunExperiment:
                        and not (no_tail and c == "chi+Z")]
             assert [combo for combo, _, _ in bundle["series"]] == claimed
 
+    def test_gaussian_data_fit_no_tail(self):
+        # gaussian data have no tail: their round-off tail constants are zeroed on
+        # record, so chi+Z is not fitted and the mu0 != 0 hypothesis fails
+        s = tiny_scenario(alpha=1.5, L=50.0, N=1024,
+                          t_samples=list(np.geomspace(1.0, 36.0, 9)))
+        report = hn.run_experiment(s, out_root=None)["report"]
+        c_alpha = report["constants"]["c_alpha"]
+        zeroed = c_alpha["zeroed_below_roundoff"]
+        assert c_alpha["c_plus"] == c_alpha["c_minus"] == 0.0
+        assert 0.0 < abs(zeroed["c_plus"]) < zeroed["bound"]
+        assert not [k for k in report["fits"] if k.startswith("chi+Z|")]
+        assert report["optimal_rate"]["l0"]["status"] == "hypothesis_violation"
+
     def test_validity_window_refused_up_front(self):
         s = tiny_scenario(t_samples=[1.0, 1e5])
         with pytest.raises(ConfigError):

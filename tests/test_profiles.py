@@ -237,8 +237,11 @@ class TestR0:
         psi0 = 0.1 * g.x * np.exp(-g.x**2)
         u0 = Field(g, pr.chi_star(g.x, P) + psi0)
         tails = pr.extract_c_alpha_detailed(pr.r0_eval(u0, P), P)
-        cp, cm = tails["c_plus"], tails["c_minus"]
-        assert abs(cp) < 1e-12 and abs(cm) < 1e-12
+        # the right window mean is round-off of the cumulative trapezoid: zeroed
+        # on record, with its bound
+        assert tails["c_plus"] == tails["c_minus"] == 0.0
+        zeroed = tails["zeroed_below_roundoff"]
+        assert 0.0 < abs(zeroed["c_plus"]) < zeroed["bound"] < 1e-10
 
     def test_prescribed_tail_roundtrip(self):
         # build psi0 with primitive eta*(x) rho(x); r0 then equals rho exactly
@@ -257,6 +260,7 @@ class TestR0:
         cp, cm = tails["c_plus"], tails["c_minus"]
         assert abs(cp - 1.0) < 0.02
         assert abs(cm - 1.0) < 0.02
+        assert "zeroed_below_roundoff" not in tails
 
     def test_mass_mismatch_rejected(self):
         g = make_grid(100.0, 2048)

@@ -179,6 +179,34 @@ class TestSolveAux:
         traj = sv.solve_aux(z0, lam, P, [1.0, 3.0])
         assert np.abs(traj.mass_log).max() < 1e-12
 
+    def test_forcing_evaluated_once_per_stage_time(self, grid60, monkeypatch):
+        # a step's four stages share three times, the last one with the next step;
+        # count the forcing calls up to the end of each segment's doubling (a
+        # rejected trial re-marches, so only segments without one are bounded)
+        z0 = Field(grid60, np.zeros(grid60.n_points))
+        calls, ends = [], []
+
+        def lam(t):
+            calls.append(t)
+            return 0.05 * np.exp(-grid60.x**2 / 2.0) / (1.0 + t)
+
+        real = sv._Stepper.doubling
+
+        def doubling(self, *args):
+            out = real(self, *args)
+            ends.append(len(calls))
+            return out
+
+        monkeypatch.setattr(sv._Stepper, "doubling", doubling)
+        traj = sv.solve_aux(z0, lam, P, [1.0, 2.0, 4.0])
+        per_segment = np.diff([0] + ends)
+        assert len(per_segment) == len(traj.step_stats)
+        clean = [(seg, n) for seg, n in zip(traj.step_stats, per_segment)
+                 if seg.n_rejected == 0]
+        assert len(clean) >= 2
+        for seg, n_calls in clean:
+            assert n_calls <= 3 * seg.n_steps + 2
+
 
 class TestSolveSecondAux:
     def test_no_dispersion_gives_zero(self, grid60):
@@ -190,6 +218,21 @@ class TestSolveSecondAux:
         p = ModelParams(1.0, 1.0, 1.5, 0.5)
         traj = sv.solve_second_aux(p, grid60, [1.0, 4.0])
         assert np.abs(traj.mass_log).max() < 1e-12
+
+    @pytest.mark.parametrize("beta", [1.0, 0.9])
+    def test_matches_public_forcing_route(self, grid60, beta):
+        # one chi_star evaluation per stage time gives the bits of lam = -gamma chi_xx
+        p = ModelParams(beta, 1.0, 3.0, 0.5)
+        z0 = Field(grid60, np.zeros(grid60.n_points))
+
+        def lam(t):
+            return -p.gamma * pr.chi_xx(grid60.x, t, p)
+
+        ref = sv.solve_aux(z0, lam, p, [1.0, 4.0])
+        traj = sv.solve_second_aux(p, grid60, [1.0, 4.0])
+        assert traj.step_stats == ref.step_stats
+        for a, b in zip(traj.snapshots, ref.snapshots):
+            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 
     def test_large_mass_rejected(self, grid60):
         with pytest.raises(ConfigError):
