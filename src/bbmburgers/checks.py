@@ -143,7 +143,7 @@ def suite_semigroup() -> list:
 
 
 # ---------------------------------------------------------------------------
-# Suite 3: solver oracles (0.4 s on a 2-vCPU VM)
+# Suite 3: solver oracles (0.2 s on a 2-vCPU VM)
 
 def suite_oracles() -> list:
     out = []

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .core import Field, half_spectrum_energy
 from .errors import ConfigError, MassMismatchError, NumericsError
-from .profiles import ModelParams, chi, eta, panel_gauss_nodes
+from .profiles import ModelParams, chi, eta, gauss_band_sum, panel_gauss_nodes
 
 __all__ = [
     "T_apply",
@@ -128,15 +128,20 @@ def helmholtz_inv_direct(f: Field, x_eval):
     return val
 
 
-def _dx_G_eta_kernel(x, y_nodes, t, tau, p: ModelParams):
-    """Closed-form d/dx of G(x - y, t - tau) eta(x, t), as an (x, y) block."""
-    dt = t - tau
-    norm = 1.0 / math.sqrt(4.0 * math.pi * dt)
-    eta_x = eta(x, t, p)
-    conv = 0.5 * p.beta * chi(x, t, p)
-    z = x[:, None] - y_nodes[None, :]
-    gauss = norm * np.exp(np.maximum(-(z * z) * (0.25 / dt), _EXP_FLOOR))
-    return eta_x[:, None] * gauss * (-z * (0.5 / dt) + conv[:, None])
+def _dx_G_eta_kernel(x, y_nodes, w, dt, b):
+    """Sums over one (x, y) block of d/dx[G(x - y, dt) eta(x)] w(y), divided by
+    eta(x).
+
+    With b = beta chi(x)/2 the kernel is eta G (b - (x - y)/(2 dt)), so the
+    block needs one Gaussian and its two weighted sums, G w and G (x - y) w.
+    """
+    z = np.subtract.outer(x, y_nodes)
+    g = z * z
+    g *= -0.25 / dt
+    np.exp(g, out=g)
+    gw = g @ w
+    g *= z
+    return (b * gw - (0.5 / dt) * (g @ w)) / math.sqrt(4.0 * math.pi * dt)
 
 
 def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
@@ -144,8 +149,12 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
 
     The primitive of h is taken by cumulative trapezoid from the left box
     edge (where the integrand is negligible for mass-zero data), weighted by
-    eta^{-1} at time tau, and integrated against the closed-form kernel with
-    the same panel Gauss-Legendre scheme used for the Z profile.
+    eta^{-1} at time tau, and integrated against the closed-form kernel
+    d/dx[G(x - y, t - tau) eta(x, t)] by panel Gauss-Legendre quadrature (the
+    nodes of profiles.panel_gauss_nodes, as in the Z oracle
+    Z_eval_quadrature).  profiles.gauss_band_sum sums the kernel at each x
+    only over the nodes within R = sqrt(160 (t - tau)) of it; the Gaussian
+    factor of every dropped node is below e^-40 ~ 4e-18 of its peak.
     """
     if not (t > tau >= 0.0):
         raise ConfigError("U requires t > tau >= 0")
@@ -160,17 +169,15 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     w_grid = prim / eta(g.x, tau, p)
     spline = CubicSpline(g.x, w_grid)
 
-    width = min(max(math.sqrt(t - tau), 0.5), 25.0)
+    dt = t - tau
+    width = min(max(math.sqrt(dt), 0.5), 25.0)
     y, wq = panel_gauss_nodes(g.x[0], g.x[-1], width)
     keep = (y >= g.x[0]) & (y <= g.x[-1])
     y, wq = y[keep], wq[keep]
     weighted = wq * spline(y)
+    b = 0.5 * p.beta * chi(g.x, t, p)
 
-    out = np.empty(g.n_points)
-    # rows per kernel block; one block and its temporaries take about 12 MB at
-    # t - tau = 1, N = 4096, which bounds the peak memory of the oracles suite
-    chunk = 128
-    for i0 in range(0, g.n_points, chunk):
-        kern = _dx_G_eta_kernel(g.x[i0 : i0 + chunk], y, t, tau, p)
-        out[i0 : i0 + chunk] = kern @ weighted
-    return Field(g, out)
+    def block(rows, nodes):
+        return _dx_G_eta_kernel(g.x[rows], y[nodes], weighted[nodes], dt, b[rows])
+
+    return Field(g, eta(g.x, t, p) * gauss_band_sum(g.x, y, dt, block))

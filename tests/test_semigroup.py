@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 from bbmburgers import (ConfigError, Field, MassMismatchError, ModelParams, NumericsError,
                         make_grid)
@@ -191,6 +193,51 @@ class TestUOperator:
         bad = Field(grid60, 0.1 * np.exp(-grid60.x**2))
         with pytest.raises(MassMismatchError):
             sg.U_apply(bad, 2.0, 0.0, P)
+
+    def _oracles_input(self):
+        """The z0 of the U-operator check in checks.suite_oracles."""
+        g = make_grid(60.0, 4096)
+        return self._mass_zero(g, 0.1 * (g.x / 2.0) * np.exp(-g.x**2 / 4.0))
+
+    @staticmethod
+    def _nodes(g, dt):
+        y, wq = pr.panel_gauss_nodes(g.x[0], g.x[-1], min(max(math.sqrt(dt), 0.5), 25.0))
+        keep = (y >= g.x[0]) & (y <= g.x[-1])
+        return y[keep], wq[keep]
+
+    @pytest.mark.parametrize("t", [1.0, 4.0, 16.0])
+    def test_matches_dense_node_sum(self, t):
+        # the U-operator quadrature with the kernel summed over every node
+        h = self._oracles_input()
+        g = h.grid
+        prim = cumulative_trapezoid(h.values, dx=g.dx, initial=0.0)
+        y, wq = self._nodes(g, t)
+        weighted = wq * CubicSpline(g.x, prim / pr.eta(g.x, 0.0, P))(y)
+        b = 0.5 * P.beta * pr.chi(g.x, t, P)
+        dense = np.empty(g.n_points)
+        for i in range(0, g.n_points, 256):
+            z = g.x[i : i + 256, None] - y[None, :]
+            kern = np.exp(-z * z / (4.0 * t)) * (b[i : i + 256, None] - z / (2.0 * t))
+            dense[i : i + 256] = kern @ weighted
+        dense *= pr.eta(g.x, t, P) / math.sqrt(4.0 * math.pi * t)
+        out = sg.U_apply(h, t, 0.0, P).values
+        assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_kernel_sums_only_reachable_nodes(self, monkeypatch):
+        # at t - tau = 1 the Gaussian is below 1e-17 on 80 % of the
+        # (grid point, node) pairs; the blocks must skip most of them
+        h = self._oracles_input()
+        real = sg._dx_G_eta_kernel
+        pairs = []
+
+        def spy(x, y_nodes, *args):
+            pairs.append(len(x) * len(y_nodes))
+            return real(x, y_nodes, *args)
+
+        monkeypatch.setattr(sg, "_dx_G_eta_kernel", spy)
+        sg.U_apply(h, 1.0, 0.0, P)
+        n_nodes = self._nodes(h.grid, 1.0)[0].size
+        assert 0 < sum(pairs) <= 0.3 * h.grid.n_points * n_nodes
 
 
 class TestKernelTableConsistency:
