@@ -27,6 +27,7 @@ __all__ = [
     "RateFit",
     "COMBOS",
     "MEASUREMENT_FRACTION",
+    "MIN_FIT_SAMPLES",
     "RATE_CLAIMS",
     "RateClaim",
     "rate_branch",
@@ -154,13 +155,18 @@ def theil_sen_slope(x, y) -> float:
     return float(np.median((y[j] - y[i]) / (x[j] - x[i])))
 
 
+# the fewest samples in a window that fit_rate fits and optimal_rate_report judges
+MIN_FIT_SAMPLES = 8
+
+
 def _fit_arrays(times, values, window, log_power):
     t0, t1 = window
     sel = (times >= t0) & (times <= t1)
     t = times[sel]
     v = values[sel]
-    if t.size < 8:
-        raise ConfigError(f"fit window [{t0}, {t1}] holds {t.size} samples; need >= 8")
+    if t.size < MIN_FIT_SAMPLES:
+        raise ConfigError(f"fit window [{t0}, {t1}] holds {t.size} samples; "
+                          f"need >= {MIN_FIT_SAMPLES}")
     if np.any(v <= 0):
         raise ConfigError("fit requires strictly positive values in the window")
     tau = np.log1p(t)
@@ -289,19 +295,28 @@ def rate_claim(alpha: float, combo: str, l: int = 0) -> RateClaim:
 
 
 def default_window(times) -> tuple:
-    """The default fit window: the first positive sample time to the last."""
-    return float(times[times > 0][0]), float(times[-1])
+    """The default fit window: the first positive sample time to the last.
+    ConfigError when no sample time is positive."""
+    positive = times[times > 0]
+    if positive.size == 0:
+        raise ConfigError("no positive sample time: there is no window to fit")
+    return float(positive[0]), float(times[-1])
 
 
 _DEGENERATE_FLOOR = 1e-13
 
 
 def _scaled_entry(es: ErrorSeries, window, claim: RateClaim) -> dict:
-    """Scale the error by the inverse of its claimed law on the window and judge it."""
+    """Scale the error by the inverse of its claimed law on the window and judge it.
+    A window with fewer than MIN_FIT_SAMPLES positive sample times is not judged:
+    its status is "insufficient_samples", with their count."""
     label = f"(1+t)^{-claim.exponent:g}" + ("/log(1+t)" if claim.log_power else "")
     entry = {"combo": es.combo, "scaling": label}
     sel = (es.times >= window[0]) & (es.times <= window[1]) & (es.times > 0)
     t = es.times[sel]
+    if t.size < MIN_FIT_SAMPLES:
+        entry.update(status="insufficient_samples", n_samples=int(t.size))
+        return entry
     r = es.values[sel] * claim.scale(t)
     if np.any(r <= _DEGENERATE_FLOOR):
         entry["status"] = "degenerate"
@@ -323,6 +338,7 @@ def optimal_rate_report(
     improves or bounded) are scaled by their claimed laws and judged by
     their kinds.  A log-corrected band also needs the log lower bound
     (kappa != 0, mu1 != 0); without it the band is marked not-applicable.
+    A window too short for fit_rate is marked insufficient_samples, not judged.
     """
     p = traj.params
     alpha = p.alpha

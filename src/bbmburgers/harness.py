@@ -231,12 +231,14 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     dropped when both tail constants c_alpha are zero.
 
     Returns a dict with the report, the trajectory and the error series.
-    Raises ConfigError for invalid scenarios and propagates solver errors
+    Raises ConfigError for invalid scenarios (samples beyond the validity window,
+    or none positive, which leaves no fit window) and propagates solver errors
     with the failing stage named.
     """
     grid = s.grid
     p = s.params
     t_samples = s.samples()
+    window = asy.default_window(t_samples)
     if t_samples[-1] > validity_horizon(grid):
         raise ConfigError(
             f"scenario samples reach t={t_samples[-1]:.4g}, beyond the validity "
@@ -258,7 +260,6 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     norms = tuple(s.norms)
     series = asy.error_series_multi(traj, ps, combos, orders=orders, norms=norms)
 
-    window = asy.default_window(traj.times)
     fits = {}
     for (combo, l, nm), es in series.items():
         claim = asy.rate_claim(s.alpha, combo, l)

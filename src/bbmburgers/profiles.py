@@ -330,20 +330,42 @@ def _z_lattice(x):
     return h, k.astype(np.int64)
 
 
-def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet):
-    """w = G(t) rho and its first two x-derivatives at the lattice points k h.
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a length the FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet,
+                        rows: int):
+    """w = G(t) rho and its first rows - 1 x-derivatives at the lattice points k h.
 
     Each is the trapezoid sum over y_j = j h of the sampled kernel (G, G' or
     G'') against rho, with rho at y = 0 set to the mean of its jump, so the
-    error is O(h^2) with an even expansion in h.  The three discrete
-    convolutions share one zero-padded rfft/irfft pair.  Returns a (3, k.size)
-    array.
+    error is O(h^2) with an even expansion in h.  rho is sampled on the
+    n_rho lattice points lo, ..., lo + n_rho - 1 within J h of some k, and the
+    kernels on |j| <= J.  The discrete convolutions are circular ones of the
+    smallest fast length n >= n_rho, each kernel's spectrum multiplied by the
+    one rfft of rho, all zero-padded to n by the transform itself: the linear
+    convolution has n_rho + 2J terms, the kept outputs k + J - lo fill
+    [2J, n_rho - 1], and a length-n circular convolution wraps only the terms
+    from n on, onto [0, n_rho + 2J - 1 - n], within [0, 2J - 1].  Returns a
+    (rows, k.size) array; rows = 2 (w, w') skips the kernel G''.
     """
     J = int(math.ceil(_Z_KERNEL_REACH * math.sqrt(t) / h))
     lo = int(k.min()) - J
     n_rho = int(k.max()) + J + 1 - lo
-    # a circular convolution of length >= n_rho leaves the needed outputs unaliased
-    n_fft = 1 << (n_rho - 1).bit_length()
+    n_fft = _fast_len(n_rho)
 
     y = h * np.arange(lo, lo + n_rho)
     rho = np.where(y >= 0.0, ps.c_alpha_plus, ps.c_alpha_minus) * (
@@ -355,14 +377,12 @@ def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet):
     z = h * np.arange(-J, J + 1)
     inv2t = 0.5 / t
     g = (h / math.sqrt(4.0 * math.pi * t)) * np.exp(-(z * z) * (0.25 / t))
-    buf = np.zeros((4, n_fft))
-    buf[0, :n_rho] = rho
-    buf[1, : 2 * J + 1] = g
-    buf[2, : 2 * J + 1] = -z * inv2t * g
-    buf[3, : 2 * J + 1] = (z * z * inv2t * inv2t - inv2t) * g
-    spec = np.fft.rfft(buf)
-    conv = np.fft.irfft(spec[1:] * spec[0], n=n_fft)
-    return conv[:, k + (J - lo)]
+    kernels = [g, -z * inv2t * g]
+    if rows == 3:
+        kernels.append((z * z * inv2t * inv2t - inv2t) * g)
+    spec = np.fft.rfft(kernels, n=n_fft)
+    spec *= np.fft.rfft(rho, n=n_fft)
+    return np.fft.irfft(spec, n=n_fft)[:, k + (J - lo)]
 
 
 def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
@@ -370,31 +390,34 @@ def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
 
     Z = d_x(eta(t) w) with w = G(t)[rho], rho(y) = c_alpha(y) (1+|y|)^{1-alpha},
     so Z = eta (w' + (beta/2) chi w) and, with b = beta chi / 2,
-    Z_x = eta (w'' + 2 b w' + (b' + b^2) w).  The heat-semigroup terms w, w',
-    w'' come from discrete convolutions on the uniform lattice y = j h through
-    0 covering [min x - 12 sqrt(t), max x + 12 sqrt(t)], with h = dx/m for the
-    smallest integer m giving h <= 0.05 (dx the spacing of x); the h and h/2
-    results are combined by Richardson extrapolation, (4 w_{h/2} - w_h)/3, for
-    an O(h^4) error.  x must therefore be evenly spaced on a lattice through 0
-    (ConfigError otherwise; there is no dense fallback).  Z_eval_quadrature is
-    the independent panel Gauss-Legendre oracle of the same integral, checked
-    against this route in checks.suite_identities.  Only derivative orders 0
-    and 1 are supported in closed form.
+    Z_x = eta (w'' + 2 b w' + (b' + b^2) w).  The heat-semigroup terms w, w'
+    (and w'' for Z_x only) come from discrete convolutions on the uniform
+    lattice y = j h through 0 covering [min x - 12 sqrt(t), max x + 12 sqrt(t)],
+    with h = dx/m for the smallest integer m giving h <= 0.05 (dx the spacing
+    of x); the h and h/2 results are combined by Richardson extrapolation,
+    (4 w_{h/2} - w_h)/3, for an O(h^4) error.  x must therefore be evenly
+    spaced on a lattice through 0 (ConfigError otherwise; there is no dense
+    fallback).  Z_eval_quadrature is the independent panel Gauss-Legendre
+    oracle of the same integral, checked against this route in
+    checks.suite_identities.  Only derivative orders 0 and 1 are supported in
+    closed form.
     """
     x = _z_args(x, t, p, derivative)
     if ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0:
         return np.zeros_like(x)
 
     h, k = _z_lattice(x)
-    coarse = _heat_lattice_terms(k, h, t, p, ps)
-    fine = _heat_lattice_terms(2 * k, 0.5 * h, t, p, ps)
-    w, wx, wxx = (4.0 * fine - coarse) / 3.0
+    rows = 2 + derivative
+    coarse = _heat_lattice_terms(k, h, t, p, ps, rows)
+    fine = _heat_lattice_terms(2 * k, 0.5 * h, t, p, ps, rows)
+    terms = (4.0 * fine - coarse) / 3.0
+    w, wx = terms[0], terms[1]
 
     b = 0.5 * p.beta * chi(x, t, p)
     if derivative == 0:
         return eta(x, t, p) * (wx + b * w)
     b1 = 0.5 * p.beta * chi_x(x, t, p)
-    return eta(x, t, p) * (wxx + 2.0 * b * wx + (b1 + b * b) * w)
+    return eta(x, t, p) * (terms[2] + 2.0 * b * wx + (b1 + b * b) * w)
 
 
 def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):

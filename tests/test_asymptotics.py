@@ -201,6 +201,25 @@ class TestOptimalRateReport:
         with pytest.raises(HypothesisViolationError):
             asy.optimal_rate_report(traj, ps)
 
+    def test_window_too_short_to_fit_is_not_judged(self):
+        # one minimum for both: a window fit_rate refuses is not judged either
+        g = make_grid(100.0, 1024)
+        ps = pr.constants(P, c_alpha=(1.0, -1.0))
+        times = np.geomspace(1.0, 100.0, 15)
+        traj = synthetic_trajectory(
+            g, P, times,
+            lambda t: pr.chi(g.x, t, P) + 0.05 * np.exp(-g.x**2 / 4.0) / (1.0 + t))
+        short = (1.0, float(times[asy.MIN_FIT_SAMPLES - 2]))
+        with pytest.raises(ConfigError, match=f"need >= {asy.MIN_FIT_SAMPLES}"):
+            asy.fit_rate(asy.error_series(traj, "chi", 0, "linf", ps), short)
+        report = asy.optimal_rate_report(traj, ps, window=short)
+        for key in ("band", "refinement"):
+            assert report[key]["status"] == "insufficient_samples"
+            assert report[key]["n_samples"] == asy.MIN_FIT_SAMPLES - 1
+        assert report["passed"] is False
+        enough = (1.0, float(times[asy.MIN_FIT_SAMPLES - 1]))
+        assert asy.optimal_rate_report(traj, ps, window=enough)["band"]["status"] == "ok"
+
     def test_exact_wave_flags_degenerate(self):
         g = make_grid(100.0, 1024)
         ps = pr.constants(P, c_alpha=(1.0, -1.0))

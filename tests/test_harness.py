@@ -220,6 +220,33 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             hn.run_experiment(s, out_root=None)
 
+    def test_no_positive_sample_refused_up_front(self, tmp_path, monkeypatch, capsys):
+        # no positive sample time leaves no fit window; refused before integrating
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a scenario with no fit window")
+
+        monkeypatch.setattr(hn, "integrate", no_integration)
+        s = tiny_scenario(t_samples=[0.0])
+        with pytest.raises(ConfigError, match="no positive sample time"):
+            hn.run_experiment(s, out_root=None)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(s.canonical_json())
+        assert cli.main(["simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_short_run_reports_insufficient_samples(self):
+        # 3 samples: fit_rate refuses every window, so the rate report judges none
+        s = tiny_scenario(t_samples=[1.0, 4.0, 16.0])
+        report = hn.run_experiment(s, out_root=None)["report"]
+        assert all("need >= 8" in fit["error"] for fit in report["fits"].values())
+        rate = report["optimal_rate"]["l0"]
+        for key in ("band", "refinement"):
+            assert rate[key]["status"] == "insufficient_samples"
+            assert rate[key]["n_samples"] == 3
+            assert not [k for k in rate[key] if k.endswith("_ok")]
+        assert rate["passed"] is False
+
 
 class TestBundleFormat:
     """snapshots.npy reloads bit for bit; every series CSV cell is the shortest

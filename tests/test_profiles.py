@@ -201,6 +201,38 @@ class TestZ:
                 ref = pr.Z_eval_quadrature(x[::5], t, p, ps, derivative=l)
                 assert np.abs(z[::5] - ref).max() <= tol * np.abs(z).max()
 
+    def test_padding_just_above_a_power_of_two_matches_quadrature(self):
+        # the convolution length is the smallest fast one >= n_rho, the lattice
+        # points covered by rho; here n_rho exceeds 4096 (step h) and 8192 (h/2)
+        # by a few points, where a power-of-two length would nearly double it
+        x = np.linspace(-36.8, 36.8, 369)  # dx = 0.2: lattice step 0.05
+        t = 30.0
+        h, k = pr._z_lattice(x)
+        for m, power in ((1, 4096), (2, 8192)):
+            J = math.ceil(pr._Z_KERNEL_REACH * math.sqrt(t) / (h / m))
+            n_rho = m * int(k.max() - k.min()) + 2 * J + 1
+            assert power < n_rho <= power + 16
+        for l in (0, 1):
+            z = pr.Z_eval(x, t, P, self.ps, derivative=l)
+            ref = pr.Z_eval_quadrature(x, t, P, self.ps, derivative=l)
+            assert np.abs(z - ref).max() <= 1e-8 * np.abs(z).max()
+
+    def test_fast_len_is_the_next_five_smooth_length(self):
+        from scipy.fft import next_fast_len
+        for n in list(range(1, 3000)) + [4103, 8205, 33290, 65537]:
+            assert pr._fast_len(n) == next_fast_len(n, real=True), n
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, 30.0])
+    def test_two_rows_are_the_first_rows_of_three(self, t):
+        # Z_eval of order 0 asks for w and w' only; they must not depend on w''
+        x = np.linspace(-20.0, 20.0, 201)
+        h, k = pr._z_lattice(x)
+        for m in (1, 2):
+            two = pr._heat_lattice_terms(m * k, h / m, t, P, self.ps, 2)
+            three = pr._heat_lattice_terms(m * k, h / m, t, P, self.ps, 3)
+            assert two.shape == (2, k.size)
+            assert np.array_equal(two, three[:2])
+
     def test_lattice_sum_is_second_order_before_extrapolation(self):
         # halving h cuts the error 4x only because rho takes the mean of its
         # jump at y = 0; the raw one-sided value would leave an O(h) error
@@ -208,7 +240,7 @@ class TestZ:
         k = np.rint(x / 0.4).astype(np.int64)
 
         def terms(m):
-            return pr._heat_lattice_terms(m * k, 0.4 / m, 2.0, P, self.ps)
+            return pr._heat_lattice_terms(m * k, 0.4 / m, 2.0, P, self.ps, 3)
 
         ref = (4.0 * terms(32) - terms(16)) / 3.0
         err = [np.abs(terms(m) - ref).max(axis=1) for m in (4, 8)]
