@@ -211,8 +211,9 @@ def window_stability(es: ErrorSeries, window, log_power: int = 0) -> float:
 
 @dataclass(frozen=True)
 class RateClaim:
-    """Claimed law ||d_x^l (u - profiles)||_inf ~ (1+t)^exponent log(1+t)^log_power,
-    judged after scaling the error by its inverse.  The kind owns the test:
+    """Claimed law ||d_x^l (u - profiles)|| ~ (1+t)^exponent log(1+t)^log_power,
+    in the norm it was made for (see rate_claim), judged after scaling the
+    error by its inverse.  The kind owns the test:
 
     band        two-sided: scaled ratio max/min <= 10, |Theil-Sen slope| <= 0.1
     improves    the refinement decays faster: slope <= -0.05
@@ -284,14 +285,21 @@ def claimed_combos(alpha: float) -> list:
     return [c for b, c in RATE_CLAIMS if b == branch]
 
 
-def rate_claim(alpha: float, combo: str, l: int = 0) -> RateClaim:
-    """The RATE_CLAIMS entry for one combination and derivative order."""
+# Every claimed law is (1+t)^e f(x / sqrt(1+t)), up to a log factor, whose L2
+# norm carries (1+t)^(e + 1/4): the exponent shift of each norm
+_NORM_EXPONENT_SHIFT = {"linf": 0.0, "l2": 0.25}
+
+
+def rate_claim(alpha: float, combo: str, l: int = 0, norm: str = "linf") -> RateClaim:
+    """The RATE_CLAIMS entry for one combination, derivative order and norm."""
     branch = rate_branch(alpha)
     if (branch, combo) not in RATE_CLAIMS:
         raise ConfigError(f"no rate claim for '{combo}' at alpha={alpha:g}; "
                           f"claimed: {claimed_combos(alpha)}")
+    if norm not in _NORM_EXPONENT_SHIFT:
+        raise ConfigError(f"unsupported norm '{norm}'; use 'l2' or 'linf'")
     exponent, log_power, kind = RATE_CLAIMS[(branch, combo)]
-    return RateClaim(exponent(alpha) - 0.5 * l, log_power, kind)
+    return RateClaim(exponent(alpha) - 0.5 * l + _NORM_EXPONENT_SHIFT[norm], log_power, kind)
 
 
 def default_window(times) -> tuple:

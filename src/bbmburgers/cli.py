@@ -99,10 +99,11 @@ def _cmd_rates(args) -> int:
     s, traj, ps = _load_bundle_trajectory(args.bundle)
     es = asy.error_series(traj, args.combo, args.l, args.norm, ps)
     window = tuple(args.window) if args.window else asy.default_window(traj.times)
-    claim = asy.rate_claim(s.alpha, args.combo, args.l)
+    claim = asy.rate_claim(s.alpha, args.combo, args.l, args.norm)
     fit = asy.fit_rate(es, window, log_power=claim.log_power)
     print(f"combo={args.combo} norm={args.norm} l={args.l} window={window}")
     print(f"  exponent   = {fit.exponent:+.4f}  (log_power={fit.log_power})")
+    print(f"  claimed    = {claim.exponent:+.4f}  ({claim.kind})")
     print(f"  theil_sen  = {fit.theil_sen:+.4f}")
     print(f"  amplitude  = {fit.amplitude:.6g}")
     print(f"  resid_rms  = {fit.residual_rms:.3e}  over {fit.n_samples} samples")

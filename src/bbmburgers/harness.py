@@ -262,32 +262,37 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
 
     fits = {}
     for (combo, l, nm), es in series.items():
-        claim = asy.rate_claim(s.alpha, combo, l)
+        key = f"{combo}|{nm}|l{l}"
+        claim = asy.rate_claim(s.alpha, combo, l, nm)
         try:
             fit = asy.fit_rate(es, window, log_power=claim.log_power)
-            stability = asy.window_stability(es, window, log_power=claim.log_power)
-            entry = {
-                "combo": combo,
-                "norm": nm,
-                "l": l,
-                "log_power": claim.log_power,
-                "claimed_exponent": claim.exponent,
-                "claim_kind": claim.kind,
-                "exponent": fit.exponent,
-                "theil_sen": fit.theil_sen,
-                "amplitude": fit.amplitude,
-                "residual_rms": fit.residual_rms,
-                "window": list(fit.window),
-                "n_samples": fit.n_samples,
-                "window_stability": stability,
-                "resolved": stability < 0.05,
-            }
-            if claim.kind == "band":
-                entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
-            fits[f"{combo}|{nm}|l{l}"] = entry
         except ConfigError as exc:
-            fits[f"{combo}|{nm}|l{l}"] = {"combo": combo, "norm": nm, "l": l,
-                                          "error": str(exc)}
+            fits[key] = {"combo": combo, "norm": nm, "l": l, "error": str(exc)}
+            continue
+        entry = {
+            "combo": combo,
+            "norm": nm,
+            "l": l,
+            "log_power": claim.log_power,
+            "claimed_exponent": claim.exponent,
+            "claim_kind": claim.kind,
+            "exponent": fit.exponent,
+            "theil_sen": fit.theil_sen,
+            "amplitude": fit.amplitude,
+            "residual_rms": fit.residual_rms,
+            "window": list(fit.window),
+            "n_samples": fit.n_samples,
+        }
+        if claim.kind == "band":
+            entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
+        try:
+            stability = asy.window_stability(es, window, log_power=claim.log_power)
+            entry.update(window_stability=stability, resolved=stability < 0.05)
+        except ConfigError as exc:
+            # the shrunk window is too short to refit; the full-window fit stands
+            entry.update(window_stability=None, resolved=False,
+                         reason=f"window stability not measured: {exc}")
+        fits[key] = entry
 
     rate_reports = {}
     for l in orders:
@@ -342,7 +347,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
             fh.write("\n")
         paths["report"] = report_path
         for (combo, l, nm), es in series.items():
-            scale = asy.rate_claim(s.alpha, combo, l).scale(es.times)
+            scale = asy.rate_claim(s.alpha, combo, l, nm).scale(es.times)
             fname = f"{combo.replace('+', '_')}_{nm}_l{l}.csv"
             fpath = os.path.join(bundle_dir, "series", fname)
             _write_csv(fpath, "t,value,scaled_value",

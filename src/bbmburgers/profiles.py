@@ -42,7 +42,7 @@ __all__ = [
     "constants",
     "fM_check",
     "panel_gauss_nodes",
-    "gauss_band_sum",
+    "dx_eta_heat",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -220,8 +220,8 @@ def V_x(x, t, p: ModelParams, ps: ProfileSet):
 
 
 # ---------------------------------------------------------------------------
-# Panel Gauss-Legendre quadrature and the banded Gaussian sum shared by the
-# Z oracle and the U-operator.
+# Panel Gauss-Legendre quadrature and the eta-weighted heat-kernel sums shared
+# by the Z oracle and the U-operator.
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -253,35 +253,66 @@ def panel_gauss_nodes(lo: float, hi: float, panel_width: float):
     return nodes, weights
 
 
-# Reach of gauss_band_sum: exp(-z^2 / 4s) <= e^-40 ~ 4e-18 for |z| >= sqrt(160 s),
-# the same e^-40 that bounds the truncation of helmholtz_inv_direct
+# Reach of the heat-kernel blocks: exp(-z^2 / 4s) <= e^-40 ~ 4e-18 for
+# |z| >= sqrt(160 s), the same e^-40 that bounds the truncation of helmholtz_inv_direct
 _GAUSS_TAIL_EXPONENT = 40.0
 _BAND_ROWS = 128  # evaluation points per block
 
 
-def gauss_band_sum(x, y, s: float, block):
-    """Quadrature sums over the sorted nodes y of an integrand carrying the
-    heat kernel G(x - y, s), each taken over only the nodes G can reach.
-
-    x is cut into blocks of 128 consecutive points.  For each block one
-    np.searchsorted finds the slice of y within R = sqrt(160 s) of the block's
-    points, and block(rows, nodes) returns the block's sums over that slice.
-
-    Every dropped node has u = (x - y)^2 / 4s >= 40, so G <= e^-40 G(0),
-    about 4e-18 G(0).  The x-derivative kernels carry G times |x - y|/2s =
-    sqrt(u/s) and times (x - y)^2/4s^2 = u/s.  As u^k e^-u decreases for
-    u > k, the dropped terms stay below sqrt(40) e^-40 ~ 3e-17 of
-    G(0)/sqrt(s), the scale of the first-derivative kernel, and below
-    40 e^-40 ~ 2e-16 of G(0)/s, the scale of the second-derivative kernel.
-    All of these bounds hold per unit of quadrature weight.
-    """
+def _gauss_bands(x, y, s: float):
+    """Yields (rows, nodes): x cut into blocks of 128 consecutive points, each
+    with the slice of the sorted nodes y within R = sqrt(160 s) of its points."""
     reach = math.sqrt(4.0 * _GAUSS_TAIL_EXPONENT * s)
-    out = np.empty(x.size)
     for i0 in range(0, x.size, _BAND_ROWS):
         rows = slice(i0, i0 + _BAND_ROWS)
         j0, j1 = np.searchsorted(y, (x[rows].min() - reach, x[rows].max() + reach))
-        out[rows] = block(rows, slice(j0, j1))
-    return out
+        yield rows, slice(j0, j1)
+
+
+def dx_eta_heat(x, y, wy, s: float, t: float, p: ModelParams, order: int):
+    """d^order/dx^order [eta(x, t) sum_j G(x - y_j, s) wy_j] for order 1 or 2,
+    at the points x, for sorted quadrature nodes y carrying weights wy.
+
+    With b = beta chi(x, t) / 2 = eta'/eta, G' = -(x-y)/(2s) G and
+    G'' = ((x-y)^2/(4s^2) - 1/(2s)) G, the kernels are
+    d/dx (eta G) = eta G (b - (x-y)/(2s)) and
+    d^2/dx^2 (eta G) = eta (G'' + 2 b G' + (b' + b^2) G), so every block
+    needs one Gaussian and its moment sums G (x-y)^k wy for k <= order.
+
+    Each block of 128 consecutive points of x sums only over the nodes within
+    R = sqrt(160 s) of them.  Every dropped node has u = (x - y)^2 / 4s >= 40,
+    so G <= e^-40 G(0), about 4e-18 G(0).  The x-derivative kernels carry G
+    times |x - y|/2s = sqrt(u/s) and times (x - y)^2/4s^2 = u/s.  As u^k e^-u
+    decreases for u > k, the dropped terms stay below sqrt(40) e^-40 ~ 3e-17
+    of G(0)/sqrt(s), the scale of the first-derivative kernel, and below
+    40 e^-40 ~ 2e-16 of G(0)/s, the scale of the second-derivative kernel.
+    All of these bounds hold per unit of quadrature weight.
+    """
+    if order not in (1, 2):
+        raise ConfigError(f"dx_eta_heat supports orders 1 and 2, got {order}")
+    b = 0.5 * p.beta * chi(x, t, p)
+    if order == 2:
+        b1 = 0.5 * p.beta * chi_x(x, t, p)
+    inv2s = 0.5 / s
+    out = np.empty(x.size)
+    for rows, nodes in _gauss_bands(x, y, s):
+        z = np.subtract.outer(x[rows], y[nodes])
+        g = z * z
+        g *= -0.25 / s
+        np.exp(g, out=g)
+        m0 = g @ wy[nodes]
+        g *= z
+        m1 = g @ wy[nodes]
+        br = b[rows]
+        if order == 1:
+            out[rows] = br * m0 - inv2s * m1
+        else:
+            g *= z
+            m2 = g @ wy[nodes]
+            out[rows] = (inv2s * inv2s * m2 - 2.0 * inv2s * br * m1
+                         + (b1[rows] + br * br - inv2s) * m0)
+        del z, g  # else two blocks' arrays are alive while the next is built
+    return eta(x, t, p) * out / math.sqrt(4.0 * math.pi * s)
 
 
 def _z_window(t: float, alpha: float, x_min: float, x_max: float):
@@ -425,9 +456,10 @@ def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: i
 
     Evaluates the y-integral of c_alpha(y) (1+|y|)^{1-alpha} against the
     closed-form x-derivatives of G(x-y, t) eta(x, t) by panel Gauss-Legendre
-    quadrature, at any points x, summed by gauss_band_sum over the nodes
-    within sqrt(160 t) of each point.  This quadrature route is the oracle
-    for Z_eval.  Only derivative orders 0 and 1 are supported in closed form.
+    quadrature (panels of width sqrt(1 + t)), at any points x, through
+    dx_eta_heat of order 1 + derivative with s = t.  This quadrature route is
+    the oracle for Z_eval.  Only derivative orders 0 and 1 are supported in
+    closed form.
     """
     x = _z_args(x, t, p, derivative)
     if ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0:
@@ -438,33 +470,7 @@ def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: i
     y, w = panel_gauss_nodes(lo, hi, width)
     c_of_y = np.where(y >= 0.0, ps.c_alpha_plus, ps.c_alpha_minus)
     rho_w = w * c_of_y * (1.0 + np.abs(y)) ** (1.0 - p.alpha)
-
-    b = 0.5 * p.beta * chi(x, t, p)
-    if derivative == 1:
-        b1 = 0.5 * p.beta * chi_x(x, t, p)
-    inv2t = 0.5 / t
-
-    def block(rows, nodes):
-        # the sums of G (x-y)^k rho_w for k = 0, 1 (and 2 for the x-derivative)
-        z = np.subtract.outer(x[rows], y[nodes])
-        g = z * z
-        g *= -0.25 / t
-        np.exp(g, out=g)
-        m0 = g @ rho_w[nodes]
-        g *= z
-        m1 = g @ rho_w[nodes]
-        if derivative == 0:
-            # d/dx (G eta) = G eta (b - (x-y)/(2t)), b = beta chi / 2
-            return b[rows] * m0 - inv2t * m1
-        # d^2/dx^2 (G eta) = eta (G'' + 2 G' b + G (b' + b^2)), with
-        # G' = -(x-y)/(2t) G and G'' = ((x-y)^2/(4t^2) - 1/(2t)) G
-        g *= z
-        m2 = g @ rho_w[nodes]
-        br = b[rows]
-        return inv2t * inv2t * m2 - 2.0 * inv2t * br * m1 + (b1[rows] + br * br - inv2t) * m0
-
-    norm = 1.0 / math.sqrt(4.0 * math.pi * t)
-    return norm * eta(x, t, p) * gauss_band_sum(x, y, t, block)
+    return dx_eta_heat(x, y, rho_w, t, t, p, 1 + derivative)
 
 
 def r0_eval(u0: Field, p: ModelParams) -> Field:

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .core import Field, half_spectrum_energy
 from .errors import ConfigError, MassMismatchError, NumericsError
-from .profiles import ModelParams, chi, eta, gauss_band_sum, panel_gauss_nodes
+from .profiles import ModelParams, dx_eta_heat, eta, panel_gauss_nodes
 
 __all__ = [
     "T_apply",
@@ -128,33 +128,15 @@ def helmholtz_inv_direct(f: Field, x_eval):
     return val
 
 
-def _dx_G_eta_kernel(x, y_nodes, w, dt, b):
-    """Sums over one (x, y) block of d/dx[G(x - y, dt) eta(x)] w(y), divided by
-    eta(x).
-
-    With b = beta chi(x)/2 the kernel is eta G (b - (x - y)/(2 dt)), so the
-    block needs one Gaussian and its two weighted sums, G w and G (x - y) w.
-    """
-    z = np.subtract.outer(x, y_nodes)
-    g = z * z
-    g *= -0.25 / dt
-    np.exp(g, out=g)
-    gw = g @ w
-    g *= z
-    return (b * gw - (0.5 / dt) * (g @ w)) / math.sqrt(4.0 * math.pi * dt)
-
-
 def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     """Linearized convection-diffusion flow applied to h from time tau to t.
 
     The primitive of h is taken by cumulative trapezoid from the left box
     edge (where the integrand is negligible for mass-zero data), weighted by
     eta^{-1} at time tau, and integrated against the closed-form kernel
-    d/dx[G(x - y, t - tau) eta(x, t)] by panel Gauss-Legendre quadrature (the
-    nodes of profiles.panel_gauss_nodes, as in the Z oracle
-    Z_eval_quadrature).  profiles.gauss_band_sum sums the kernel at each x
-    only over the nodes within R = sqrt(160 (t - tau)) of it; the Gaussian
-    factor of every dropped node is below e^-40 ~ 4e-18 of its peak.
+    d/dx[G(x - y, t - tau) eta(x, t)] by panel Gauss-Legendre quadrature
+    (panels of width sqrt(t - tau)): profiles.dx_eta_heat of order 1 with
+    s = t - tau, the kernel sums of the Z oracle Z_eval_quadrature.
     """
     if not (t > tau >= 0.0):
         raise ConfigError("U requires t > tau >= 0")
@@ -174,10 +156,4 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     y, wq = panel_gauss_nodes(g.x[0], g.x[-1], width)
     keep = (y >= g.x[0]) & (y <= g.x[-1])
     y, wq = y[keep], wq[keep]
-    weighted = wq * spline(y)
-    b = 0.5 * p.beta * chi(g.x, t, p)
-
-    def block(rows, nodes):
-        return _dx_G_eta_kernel(g.x[rows], y[nodes], weighted[nodes], dt, b[rows])
-
-    return Field(g, eta(g.x, t, p) * gauss_band_sum(g.x, y, dt, block))
+    return Field(g, dx_eta_heat(g.x, y, wq * spline(y), dt, t, p, 1))

@@ -211,8 +211,6 @@ class Trajectory:
         drift = float(np.abs(self.mass_log - m0).max())
         if drift > tol:
             raise InstabilityError(f"mass drift {drift:.3e} exceeds tolerance")
-        if np.any(self.nyquist_fraction >= 1e-6):
-            raise InstabilityError("Nyquist-band energy above resolution threshold")
         return self
 
 

@@ -145,6 +145,14 @@ class TestRateClaims:
         assert asy.rate_claim(3.0, "chi+V", 1) == asy.RateClaim(-1.5, 0, "bounded")
         assert asy.rate_claim(2.0, "chi+Z+V", 0) == asy.RateClaim(-1.0, 1, "improves")
 
+    def test_l2_norm_adds_a_quarter(self):
+        # the L2 norm of (1+t)^e f(x/sqrt(1+t)) carries (1+t)^(e+1/4)
+        assert asy.rate_claim(1.5, "chi", 0, "l2") == asy.RateClaim(-0.5, 0, "band")
+        assert asy.rate_claim(2.0, "chi+Z+V", 1, "l2") == asy.RateClaim(-1.25, 1, "improves")
+        assert asy.rate_claim(3.0, "chi", 0, "linf") == asy.rate_claim(3.0, "chi")
+        with pytest.raises(ConfigError):
+            asy.rate_claim(3.0, "chi", 0, "l1")
+
     def test_unclaimed_combo_rejected(self):
         with pytest.raises(ConfigError):
             asy.rate_claim(1.5, "chi+V")

@@ -221,6 +221,36 @@ class TestSpectralLayer:
         assert not offenders, offenders
 
 
+class _OuterDifferenceFinder(ast.NodeVisitor):
+    """Records the functions that call `np.subtract.outer`."""
+
+    def __init__(self):
+        self.where = ["<module>"]
+        self.hits = set()
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr == "outer" and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "subtract"):
+            self.hits.add(self.where[-1])
+        self.generic_visit(node)
+
+
+class TestHeatKernelSums:
+    def test_one_function_forms_point_node_differences(self):
+        # the U-operator and Z oracles share one eta-weighted heat-kernel sum
+        owners = []
+        for path in sorted(SRC.glob("*.py")):
+            finder = _OuterDifferenceFinder()
+            finder.visit(ast.parse(path.read_text()))
+            owners += [f"{path.name}: {func}" for func in sorted(finder.hits)]
+        assert owners == ["profiles.py: dx_eta_heat"], owners
+
+
 class TestPublicNames:
     def test_every_all_entry_exists(self):
         # a name deleted from a module but left in its __all__ breaks star imports

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -246,6 +247,42 @@ class TestRunExperiment:
             assert rate[key]["n_samples"] == 3
             assert not [k for k in rate[key] if k.endswith("_ok")]
         assert rate["passed"] is False
+
+    def test_short_shrunk_window_keeps_the_fit(self):
+        # 9 samples fit the full window, but its 10 %-shrunk copy holds 6
+        s = tiny_scenario(alpha=3.0, L=60.0, t_samples=list(np.geomspace(1.0, 50.0, 9)))
+        report = hn.run_experiment(s, out_root=None)["report"]
+        for fit in report["fits"].values():
+            assert "error" not in fit and fit["n_samples"] == 9
+            assert math.isfinite(fit["exponent"])
+            assert fit["window_stability"] is None and fit["resolved"] is False
+            assert "holds 6 samples; need >= 8" in fit["reason"]
+        assert report["optimal_rate"]["l0"]["band"]["status"] == "ok"
+
+    def test_l2_series_judged_against_the_l2_claim(self, tmp_path, capsys):
+        s = tiny_scenario(norms=["linf", "l2"])
+        bundle = hn.run_experiment(s, out_root=str(tmp_path / "both"))
+        fits = bundle["report"]["fits"]
+        alone = hn.run_experiment(tiny_scenario(), out_root=str(tmp_path / "linf"))
+        for key, fit in alone["report"]["fits"].items():
+            assert fits[key] == fit
+            l2 = fits[key.replace("|linf|", "|l2|")]
+            assert l2["claimed_exponent"] == fit["claimed_exponent"] + 0.25
+            # each series sits as far from its own claim
+            gap = l2["exponent"] - l2["claimed_exponent"]
+            assert abs(gap - (fit["exponent"] - fit["claimed_exponent"])) < 0.1
+        for combo in ("chi", "chi+V"):
+            es = bundle["series"][(combo, 0, "l2")]
+            claim = asy.rate_claim(s.alpha, combo, 0, "l2")
+            path = bundle["paths"][f"{combo.replace('+', '_')}_l2_l0.csv"]
+            scaled = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+            assert np.array_equal(scaled, es.values * claim.scale(es.times))
+        args = ["rates", "--bundle", bundle["paths"]["bundle_dir"], "--combo", "chi",
+                "--l", "0", "--norm"]
+        assert cli.main(args + ["l2"]) == 0
+        assert "claimed    = -0.7500  (band)" in capsys.readouterr().out
+        assert cli.main(args + ["linf"]) == 0
+        assert "claimed    = -1.0000  (band)" in capsys.readouterr().out
 
 
 class TestBundleFormat:

@@ -201,6 +201,23 @@ class TestZ:
                 ref = pr.Z_eval_quadrature(x[::5], t, p, ps, derivative=l)
                 assert np.abs(z[::5] - ref).max() <= tol * np.abs(z).max()
 
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    def test_quadrature_derivative_matches_dense_node_sum(self, t):
+        # Z_x by the second-derivative kernel summed over every node, on the
+        # points of the Z check in checks.suite_identities
+        x = np.linspace(-20.0, 20.0, 801)
+        lo, hi = pr._z_window(t, P.alpha, x[0], x[-1])
+        y, w = pr.panel_gauss_nodes(lo, hi, min(max(math.sqrt(1.0 + t), 0.5), 25.0))
+        rho_w = w * np.where(y >= 0.0, 1.0, -1.0) * (1.0 + np.abs(y)) ** (1.0 - P.alpha)
+        b = 0.5 * P.beta * pr.chi(x, t, P)[:, None]
+        b1 = 0.5 * P.beta * pr.chi_x(x, t, P)[:, None]
+        z = x[:, None] - y[None, :]
+        gz = -z / (2.0 * t)
+        kern = np.exp(-z * z / (4.0 * t)) * (gz * gz - 0.5 / t + 2.0 * b * gz + b1 + b * b)
+        dense = pr.eta(x, t, P) * (kern @ rho_w) / math.sqrt(4.0 * math.pi * t)
+        out = pr.Z_eval_quadrature(x, t, P, self.ps, derivative=1)
+        assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
     def test_padding_just_above_a_power_of_two_matches_quadrature(self):
         # the convolution length is the smallest fast one >= n_rho, the lattice
         # points covered by rho; here n_rho exceeds 4096 (step h) and 8192 (h/2)

@@ -227,14 +227,15 @@ class TestUOperator:
         # at t - tau = 1 the Gaussian is below 1e-17 on 80 % of the
         # (grid point, node) pairs; the blocks must skip most of them
         h = self._oracles_input()
-        real = sg._dx_G_eta_kernel
+        real = pr._gauss_bands
         pairs = []
 
-        def spy(x, y_nodes, *args):
-            pairs.append(len(x) * len(y_nodes))
-            return real(x, y_nodes, *args)
+        def spy(x, y, s):
+            for rows, nodes in real(x, y, s):
+                pairs.append(len(x[rows]) * len(y[nodes]))
+                yield rows, nodes
 
-        monkeypatch.setattr(sg, "_dx_G_eta_kernel", spy)
+        monkeypatch.setattr(pr, "_gauss_bands", spy)
         sg.U_apply(h, 1.0, 0.0, P)
         n_nodes = self._nodes(h.grid, 1.0)[0].size
         assert 0 < sum(pairs) <= 0.3 * h.grid.n_points * n_nodes
