@@ -197,12 +197,16 @@ def fit_rate(es: ErrorSeries, window, log_power: int = 0) -> RateFit:
 
 def window_stability(es: ErrorSeries, window, log_power: int = 0) -> float:
     """Exponent change when the window is shrunk by 10% (in log t) at both ends."""
-    full = fit_rate(es, window, log_power)
-    a = math.log1p(window[0])
-    b = math.log1p(window[1])
+    return _stability_of_fit(es, fit_rate(es, window, log_power))
+
+
+def _stability_of_fit(es: ErrorSeries, full: RateFit) -> float:
+    """window_stability of the full-window fit `full` of es, which it does not refit."""
+    a = math.log1p(full.window[0])
+    b = math.log1p(full.window[1])
     pad = 0.1 * (b - a)
     shrunk = (math.expm1(a + pad), math.expm1(b - pad))
-    inner = fit_rate(es, shrunk, log_power)
+    inner = fit_rate(es, shrunk, full.log_power)
     return abs(inner.exponent - full.exponent)
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as spi
 
 from . import profiles as pr
 from . import semigroup as sg
@@ -45,6 +44,8 @@ def _params(beta=1.0, gamma=1.0, alpha=1.5, mass=0.5) -> ModelParams:
 # Suite 1: closed-form identities (0.1 s on a 2-vCPU VM)
 
 def suite_identities() -> list:
+    from scipy import integrate as spi
+
     out = []
     p = _params()
     x = np.linspace(-20.0, 20.0, 2001)
@@ -52,6 +53,14 @@ def suite_identities() -> list:
     ps = pr.constants(p)
     out.append(CheckResult("kappa(beta=1,gamma=1) == 1/8 exactly",
                            ps.kappa == 0.125, ps.kappa, 0.0))
+
+    d_ref, err = spi.quad(lambda y: pr.chi_star(y, p) ** 3 / pr.eta_star(y, p),
+                          -np.inf, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    if not err <= 1e-12 * abs(d_ref):
+        raise NumericsError(f"d oracle quadrature failed: error estimate {err:.2e}")
+    dev = abs(ps.d - d_ref) / abs(d_ref)
+    out.append(CheckResult("d: panel Gauss-Legendre vs adaptive quadrature",
+                           dev <= 1e-12, dev, 1e-12, detail="(relative)"))
 
     dev = float(np.abs(pr.V_star(x, p) - pr.V_star_from_derivative(x, p)).max())
     out.append(CheckResult("V_star closed forms agree on [-20,20]",
@@ -75,11 +84,17 @@ def suite_identities() -> list:
     out.append(CheckResult("eta_star closed form vs quadrature of its integral",
                            worst <= 1e-8, worst, 1e-8))
 
-    worst = 0.0
-    for t in (0.0, 1.0, 10.0, 100.0):
-        val, _ = spi.quad(lambda y: pr.chi(np.array([y]), t, p)[0],
-                          -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-        worst = max(worst, abs(val - p.mass))
+    # int chi(x, t) dx = int s chi(s z, t) dz with s = sqrt(1 + t): in z the four
+    # integrands share one width, so one vector quadrature adapts to all of them
+    ts = (0.0, 1.0, 10.0, 100.0)
+    ss = [math.sqrt(1.0 + t) for t in ts]
+    masses, _, info = spi.quad_vec(
+        lambda z: np.array([s * pr.chi(s * z, t, p) for s, t in zip(ss, ts)]),
+        -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400, norm="max",
+        full_output=True)
+    if info.status != 0:
+        raise NumericsError(f"chi mass oracle quadrature failed: {info.message}")
+    worst = float(np.abs(masses - p.mass).max())
     out.append(CheckResult("integral of chi(.,t) equals M at t in {0,1,10,100}",
                            worst <= 1e-8, worst, 1e-8))
 

@@ -21,6 +21,7 @@ __all__ = [
     "make_grid",
     "half_spectrum_energy",
     "lp_norm",
+    "cumulative_trapezoid",
     "smoothstep",
     "smoothstep_deriv",
     "tail_taper",
@@ -172,6 +173,15 @@ def lp_norm(f: Field, p) -> float:
     if p in (np.inf, math.inf, "inf"):
         return float(np.abs(v).max())
     raise ConfigError(f"unsupported norm p={p}; use 1, 2 or inf")
+
+
+def cumulative_trapezoid(y, dx: float):
+    """Running trapezoid integral of y on the uniform step dx, 0 at y[0].
+
+    The arithmetic of scipy.integrate.cumulative_trapezoid(y, dx=dx,
+    initial=0), so the two agree bit for bit.
+    """
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
         if claim.kind == "band":
             entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
         try:
-            stability = asy.window_stability(es, window, log_power=claim.log_power)
+            stability = asy._stability_of_fit(es, fit)
             entry.update(window_stability=stability, resolved=stability < 0.05)
         except ConfigError as exc:
             # the shrunk window is too short to refit; the full-window fit stands

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as spi
 from scipy.special import erf, erfc
 
-from .core import Field, GridSpec
+from .core import Field, GridSpec, cumulative_trapezoid
 from .errors import ConfigError, MassMismatchError, NumericsError
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
-_D_QUAD_TOL = 1e-10  # absolute and relative tolerance of the quadrature for d
 
 
 @dataclass(frozen=True)
@@ -487,7 +485,7 @@ def r0_eval(u0: Field, p: ModelParams) -> Field:
         raise MassMismatchError(
             f"integral of u0 - chi_star is {total:.3e}, expected 0 (mass mismatch)"
         )
-    prim = spi.cumulative_trapezoid(dev, dx=u0.grid.dx, initial=0.0)
+    prim = cumulative_trapezoid(dev, u0.grid.dx)
     return Field(u0.grid, prim / eta_star(x, p))
 
 
@@ -530,28 +528,35 @@ def extract_c_alpha_detailed(r0: Field, p: ModelParams):
     return out
 
 
-def _quad_d(p: ModelParams, tol: float) -> float:
-    val, err = spi.quad(
-        lambda y: chi_star(y, p) ** 3 / eta_star(y, p),
-        -np.inf,
-        np.inf,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
-    )
-    if err > max(100.0 * tol, 1e-8 * max(1.0, abs(val))):
-        raise NumericsError(f"quadrature for d did not converge: error={err:.2e}")
-    return val
+_D_HALF_WIDTH = 16.0  # d integrates chi_star^3 / eta_star over [-16, 16]
+
+
+def _d_integral(p: ModelParams) -> float:
+    """d = int chi_star^3 / eta_star over the line, by panel Gauss-Legendre
+    (16 nodes on each width-1 panel) on [-16, 16].
+
+    Tail bound: with q = e^{beta M / 2} and den(x) between sqrt(pi) min(1, q)
+    and sqrt(pi) max(1, q), the integrand is
+    (em/beta)^3 e^{-3x^2/4} / (sqrt(pi) q den(x)^2), em = q - 1, at most
+    e^{|beta M|} e^{-3x^2/4} times its value at x = 0.  The two tails beyond
+    |x| = 16 hold at most e^{|beta M|} e^-192 / 12 ~ 3.4e-85 e^{|beta M|} of
+    that value.  The adaptive quadrature of the same integral is the oracle,
+    checked in checks.suite_identities.
+    """
+    y, w = panel_gauss_nodes(-_D_HALF_WIDTH, _D_HALF_WIDTH, 1.0)
+    return float(w @ (chi_star(y, p) ** 3 / eta_star(y, p)))
 
 
 def constants(
     p: ModelParams, c_alpha: tuple[float, float] | None = None
 ) -> ProfileSet:
-    """Assemble the ProfileSet: d by adaptive quadrature, kappa = beta^2 gamma / 8,
-    the given tail limits (default 0, 0) and mu0/mu1.
+    """Assemble the ProfileSet: d by panel Gauss-Legendre (_d_integral; the
+    adaptive quadrature of the same integral is its oracle in
+    `verify --suite identities`), kappa = beta^2 gamma / 8, the given tail
+    limits (default 0, 0) and mu0/mu1.
     """
     cp, cm = (0.0, 0.0) if c_alpha is None else (float(c_alpha[0]), float(c_alpha[1]))
-    d = _quad_d(p, _D_QUAD_TOL)
+    d = _d_integral(p)
     kappa = p.beta**2 * p.gamma / 8.0
     if 1.0 < p.alpha < 2.0:
         chi0 = float(chi_star(np.array([0.0]), p)[0])
@@ -585,6 +590,8 @@ def fM_check(p: ModelParams) -> dict:
     [-20, 20].
     Only defined for beta = 1.
     """
+    from scipy import integrate as spi
+
     if p.beta != 1.0:
         raise ConfigError("the historical formulas assume beta = 1")
     x = np.linspace(-20.0, 20.0, 2001)

@@ -10,10 +10,8 @@ linearized convection-diffusion flow around the diffusion wave.
 import math
 
 import numpy as np
-from scipy import integrate as spi
-from scipy.interpolate import CubicSpline
 
-from .core import Field, half_spectrum_energy
+from .core import Field, cumulative_trapezoid, half_spectrum_energy
 from .errors import ConfigError, MassMismatchError, NumericsError
 from .profiles import ModelParams, dx_eta_heat, eta, panel_gauss_nodes
 
@@ -104,6 +102,8 @@ def helmholtz_inv_direct(f: Field, x_eval):
     FFT of f; each quadrature node costs one matrix-vector product.
     Raises NumericsError if the quadrature does not converge.
     """
+    from scipy import integrate as spi
+
     g = f.grid
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=np.float64))
     coeff, xi = _trig_values(f)
@@ -138,6 +138,8 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     (panels of width sqrt(t - tau)): profiles.dx_eta_heat of order 1 with
     s = t - tau, the kernel sums of the Z oracle Z_eval_quadrature.
     """
+    from scipy.interpolate import CubicSpline
+
     if not (t > tau >= 0.0):
         raise ConfigError("U requires t > tau >= 0")
     g = h.grid
@@ -147,7 +149,7 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
         raise MassMismatchError(
             f"integral of h is {total:.3e}, expected 0 for a decaying primitive"
         )
-    prim = spi.cumulative_trapezoid(h.values, dx=g.dx, initial=0.0)
+    prim = cumulative_trapezoid(h.values, g.dx)
     w_grid = prim / eta(g.x, tau, p)
     spline = CubicSpline(g.x, w_grid)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bbmburgers import ConfigError, Field, lp_norm, make_grid
 from bbmburgers.core import (
+    cumulative_trapezoid,
     half_spectrum_energy,
     smoothstep,
     smoothstep_deriv,
@@ -155,6 +156,17 @@ class TestNorms:
     def test_unknown_p_rejected(self, grid40):
         with pytest.raises(ConfigError):
             lp_norm(Field(grid40, np.zeros(grid40.n_points)), 3)
+
+    def test_cumulative_trapezoid_matches_scipy(self, grid40, rng):
+        # the same arithmetic as scipy's, so the primitives agree bit for bit
+        from scipy.integrate import cumulative_trapezoid as scipy_cumtrapz
+
+        for n in (2, 3, grid40.n_points):
+            y = rng.standard_normal(n)
+            ours = cumulative_trapezoid(y, grid40.dx)
+            ref = scipy_cumtrapz(y, dx=grid40.dx, initial=0.0)
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
 
 
 class TestCutoffs:

@@ -146,6 +146,22 @@ class TestRunExperiment:
         assert "chi|linf|l0" in rep["fits"]
         assert not [k for k, fit in rep["fits"].items() if "error" in fit]
 
+    def test_each_window_fitted_once(self, monkeypatch):
+        # one fit per full window and one per shrunk window: window_stability
+        # reuses the full-window fit instead of refitting it
+        calls = []
+        real = asy.fit_rate
+
+        def counting(es, window, log_power=0):
+            calls.append((es.combo, es.order, es.norm, tuple(window)))
+            return real(es, window, log_power)
+
+        monkeypatch.setattr(asy, "fit_rate", counting)
+        fits = hn.run_experiment(tiny_scenario(), out_root=None)["report"]["fits"]
+        assert fits and all(fit["window_stability"] is not None for fit in fits.values())
+        assert len(calls) == 2 * len(fits)
+        assert len(set(calls)) == len(calls)
+
     def test_step_counts_reported(self, flaky_march):
         flaky_march(1)
         report = hn.run_experiment(tiny_scenario(), out_root=None)["report"]

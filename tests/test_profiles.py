@@ -329,10 +329,16 @@ class TestConstants:
         assert ps.d == 0.0
         assert ps.mu1 == 0.5
 
-    def test_d_self_consistency_across_tolerances(self):
-        d1 = pr._quad_d(P, 1e-8)
-        d2 = pr._quad_d(P, 1e-12)
-        assert abs(d1 - d2) < 1e-8
+    def test_d_matches_adaptive_quadrature(self):
+        # d = int chi_star^3 / eta_star by panel Gauss-Legendre on [-16, 16]
+        # against adaptive quadrature over the whole line
+        for beta in (0.0, 0.5, 0.9, 1.0, 2.0):
+            for mass in (-1.0, -0.3, 0.3, 1.0, 3.0):
+                p = ModelParams(beta, 1.0, 1.5, mass)
+                ref, err = spi.quad(lambda y: pr.chi_star(y, p) ** 3 / pr.eta_star(y, p),
+                                    -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+                assert err <= 1e-12 * abs(ref)
+                assert abs(pr.constants(p).d - ref) <= 1e-13 * abs(ref), (beta, mass)
 
     def test_gamma_function_reference_values(self):
         assert abs(math.gamma(0.5) - math.sqrt(math.pi)) < 1e-12
