@@ -7,9 +7,11 @@ Runge-Kutta stages.  This makes the beta = 0 limit bit-for-bit equal to the
 semigroup, which the oracle tests exploit.
 
 By default the step is error-controlled per sample segment by step doubling:
-the segment is marched with n steps of 2h and with 2n steps of h from the same
-state, the fine result is kept when max|u_2n - u_n|/15 <= _RTOL max|u_2n|, and
-the next step is h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
+one trial marches n steps of 2h and 2n of h in lockstep from one shared first
+stage, each coarse step right after the first fine step it spans and at fine
+stage times, both tableaux from exp(z/2), exp(z), exp(2z) with z = h lin.  The
+fine result is kept when max|u_2n - u_n|/15 <= _RTOL max|u_2n|, and the next
+step is h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
 A rejected trial (error too large, or a blow-up caught by the sentinel) shrinks
 h and retries the segment, at most _MAX_REJECTIONS times in a row.  An explicit
 integrate dt marches fixed uniform steps instead, with no retry: the
@@ -60,9 +62,9 @@ def validity_horizon(grid: GridSpec) -> float:
 # ---------------------------------------------------------------------------
 # phi functions and ETD-RK4 coefficients
 
-def _phi(z, j: int):
-    """phi_j(z) = sum_{n>=0} z^n / (n+j)! with a series branch at small |z|."""
-    z = np.asarray(z, dtype=np.complex128)
+def _phi(z, j: int, ez):
+    """phi_j(z) = sum_{n>=0} z^n / (n+j)!, j in {1, 2, 3}, from ez = exp(z),
+    with a series branch at small |z|."""
     out = np.empty_like(z)
     small = np.abs(z) < _PHI_SMALL
     zs = z[small]
@@ -70,34 +72,66 @@ def _phi(z, j: int):
     for n in range(_PHI_TERMS - 2, -1, -1):
         acc = acc * zs + 1.0 / math.factorial(n + j)
     out[small] = acc
-    zb = z[~small]
-    ez = np.exp(zb)
+    big = ~small
+    zb, ez = z[big], ez[big]
     if j == 1:
-        out[~small] = (ez - 1.0) / zb
+        out[big] = (ez - 1.0) / zb
     elif j == 2:
-        out[~small] = (ez - 1.0 - zb) / zb**2
-    elif j == 3:
-        out[~small] = (ez - 1.0 - zb - 0.5 * zb**2) / zb**3
+        out[big] = (ez - 1.0 - zb) / zb**2
     else:
-        raise ConfigError(f"phi_{j} not implemented")
+        out[big] = (ez - 1.0 - zb - 0.5 * zb**2) / zb**3
     return out
 
 
 class _EtdCoeffs:
-    """Precomputed ETD-RK4 tableau for one linear multiplier and one dt."""
+    """ETD-RK4 tableau for one step dt, from z = dt lin, E2 = exp(z/2) and
+    E = exp(z).  f2 is twice the Cox-Matthews weight: it multiplies Na + Nb."""
 
     __slots__ = ("dt", "E", "E2", "Q", "f1", "f2", "f3")
 
-    def __init__(self, lin: np.ndarray, dt: float):
-        z = dt * lin
-        p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
+    def __init__(self, dt: float, z, E2, E):
+        p1, p2, p3 = _phi(z, 1, E), _phi(z, 2, E), _phi(z, 3, E)
         self.dt = dt
-        self.E = np.exp(z)
-        self.E2 = np.exp(0.5 * z)
-        self.Q = dt * 0.5 * _phi(0.5 * z, 1)
+        self.E = E
+        self.E2 = E2
+        self.Q = dt * 0.5 * _phi(0.5 * z, 1, E2)
         self.f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-        self.f2 = dt * (p2 - 2.0 * p3)
+        self.f2 = 2.0 * (dt * (p2 - 2.0 * p3))
         self.f3 = dt * (-p2 + 4.0 * p3)
+
+
+def _tableaux(lin, dt: float, coarse: bool):
+    """The tableaux at dt and, if coarse, at 2 dt from exp(z/2), exp(z), exp(2z),
+    z = dt lin.  Scaling by 2 is exact, so the coarse E2 is the fine E and the
+    pair has the bits of two tableaux built apart at dt and 2 dt."""
+    z = dt * lin
+    fine = _EtdCoeffs(dt, z, np.exp(0.5 * z), np.exp(z))
+    z *= 2.0
+    return fine, _EtdCoeffs(2.0 * dt, z, fine.E, np.exp(z)) if coarse else None
+
+
+def _step(uhat, t, t_half, t_end, co: _EtdCoeffs, nl, Nu=None):
+    """One ETD-RK4 step from uhat at stage times t, t_half, t_end; the first stage
+    nl(uhat, t) is evaluated unless given as Nu.  In place, but in the formula's
+    operand order (complex products do not commute bit for bit)."""
+    if Nu is None:
+        Nu = nl(uhat, t)
+    a = co.E2 * uhat
+    a += co.Q * Nu
+    Na = nl(a, t_half)
+    b = co.E2 * uhat  # recomputed rather than held through the stage above
+    b += co.Q * Na
+    Nb = nl(b, t_half)
+    c = np.subtract(np.multiply(2.0, Nb, out=b), Nu, out=b)
+    c = np.add(np.multiply(co.E2, a, out=a), np.multiply(co.Q, c, out=c), out=a)
+    out = np.multiply(co.E, uhat, out=b)
+    out += co.f1 * Nu
+    Na += Nb
+    out += np.multiply(co.f2, Na, out=Na)
+    del Nu, Na, Nb  # not held through the last stage
+    Nc = nl(c, t_end)
+    out += np.multiply(co.f3, Nc, out=Nc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,45 +155,14 @@ def _nyquist_fraction(uhat, band):
     return float(e[band].sum() / total) if total > 0.0 else 0.0
 
 
-def _march(uhat, t0, n_steps, coeffs: _EtdCoeffs, nl, threshold, band):
-    """Advance n_steps of ETD-RK4; returns the new spectrum and the peak
-    Nyquist-band magnitude seen along the way."""
-    dt = coeffs.dt
-    t = t0
-    nyq_peak = 0.0
-    for _ in range(n_steps):
-        Nu = nl(uhat, t)
-        a = coeffs.E2 * uhat + coeffs.Q * Nu
-        Na = nl(a, t + 0.5 * dt)
-        b = coeffs.E2 * uhat + coeffs.Q * Na
-        Nb = nl(b, t + 0.5 * dt)
-        c = coeffs.E2 * a + coeffs.Q * (2.0 * Nb - Nu)
-        Nc = nl(c, t + dt)
-        uhat = (
-            coeffs.E * uhat
-            + coeffs.f1 * Nu
-            + 2.0 * coeffs.f2 * (Na + Nb)
-            + coeffs.f3 * Nc
-        )
-        t += dt
-        peak = float(np.abs(uhat).max())
-        if not math.isfinite(peak) or peak > threshold:
-            raise InstabilityError(
-                f"spectral magnitude {peak:.3e} exceeded guard at t={t:.4g}"
-            )
-        band_peak = float(np.abs(uhat[band]).max())
-        if band_peak > nyq_peak:
-            nyq_peak = band_peak
-    return uhat, nyq_peak
-
-
 def _bbmb_nl(grid: GridSpec, p: ModelParams):
     mult = _nonlinear_multiplier(grid, p.beta)
     N = grid.n_points
 
     def nl(uhat, t):
         u = np.fft.irfft(uhat, n=N)
-        return mult * np.fft.rfft(u * u)
+        r = np.fft.rfft(np.multiply(u, u, out=u))
+        return np.multiply(mult, r, out=r)
 
     return nl
 
@@ -238,16 +241,40 @@ class _Stepper:
         self.band = grid.nyquist_band
         self.n_points = grid.n_points
 
-    def march(self, uhat, t0, dt, n):
-        """n steps of dt from t0: (spectrum, Nyquist-band peak)."""
-        coeffs = _EtdCoeffs(self.linear, dt)
-        return _march(uhat, t0, n, coeffs, self.nl, self.threshold, self.band)
+    def _guard(self, uhat, t):
+        peak = float(np.abs(uhat).max())
+        if not math.isfinite(peak) or peak > self.threshold:
+            raise InstabilityError(
+                f"spectral magnitude {peak:.3e} exceeded guard at t={t:.4g}"
+            )
+
+    def march(self, uhat, t, n, fine: _EtdCoeffs, coarse: _EtdCoeffs | None):
+        """n steps of fine.dt from time t and, given a coarse tableau, n/2 steps
+        of 2 dt in lockstep from the same first stage, each right after the first
+        fine step it spans and at fine times.  Returns the fine and coarse (uhat
+        if none) spectra and the fine march's peak Nyquist-band magnitude."""
+        nl, dt = self.nl, fine.dt
+        first = nl(uhat, t)
+        coarse_hat = uhat
+        nyq_peak = 0.0
+        for k in range(n):
+            t_end = t + dt
+            uhat = _step(uhat, t, t + 0.5 * dt, t_end, fine, nl, first)
+            self._guard(uhat, t_end)
+            nyq_peak = max(nyq_peak, float(np.abs(uhat[self.band]).max()))
+            if coarse is not None and k % 2 == 0:
+                coarse_hat = _step(coarse_hat, t, t_end, t_end + dt, coarse, nl, first)
+                self._guard(coarse_hat, t_end + dt)
+            first = None
+            t = t_end
+        return uhat, coarse_hat, nyq_peak
 
     def fixed(self, uhat, t0, t1, dt):
         """The segment in uniform steps of at most dt; a blow-up raises."""
         span = t1 - t0
         n = max(1, int(math.ceil(span / dt - 1e-12)))
-        new_hat, nyq = self.march(uhat, t0, span / n, n)
+        fine, _ = _tableaux(self.linear, span / n, False)
+        new_hat, _, nyq = self.march(uhat, t0, n, fine, None)
         values = np.fft.irfft(new_hat, n=self.n_points)
         return new_hat, values, StepStats(t0, t1, span / n, n, nyq)
 
@@ -260,8 +287,9 @@ class _Stepper:
             n = max(1, int(math.ceil(span / (2.0 * min(h, h_max)) - 1e-12)))
             dt = span / (2 * n)
             try:
-                fine_hat, nyq = self.march(uhat, t0, dt, 2 * n)
-                coarse_hat, _ = self.march(uhat, t0, 2 * dt, n)
+                fine_hat, coarse_hat, nyq = self.march(
+                    uhat, t0, 2 * n, *_tableaux(self.linear, dt, True)
+                )
             except InstabilityError:
                 factor = 0.5
             else:
@@ -326,15 +354,8 @@ def _run_trajectory(grid, p, u0_values, t_samples, linear, nl, dt, dt_guard):
         t_prev = t_next
         record(t_next, uhat, u_vals)
 
-    return Trajectory(
-        p,
-        grid,
-        np.asarray(times),
-        snaps,
-        np.asarray(masses),
-        np.asarray(fracs),
-        stats,
-    ).validate()
+    return Trajectory(p, grid, np.asarray(times), snaps, np.asarray(masses),
+                      np.asarray(fracs), stats).validate()
 
 
 def integrate(
@@ -374,11 +395,12 @@ def integrate(
 def _aux_nl(grid: GridSpec, p: ModelParams, profiles):
     """The convection and forcing stages of the linearized flows, and chi by time.
 
-    profiles(t) returns chi and the forcing values (or None) at t.  A step has
-    three distinct stage times (t, t + h/2, t + h) and its last is the next
-    step's first, so a cache of the last two stage times, each holding chi and
-    the forcing's spectrum dxi rfft(lam), evaluates profiles and that rfft once
-    per distinct stage time of a march.
+    profiles(t) returns chi and the forcing values (or None) at t.  A step's
+    stage times are t, t + h/2, t + h, the last the next step's first; a coarse
+    step runs after the first fine step it spans, at the fine times t, t + h,
+    t + 2h.  So a cache of the three stage times last used, each holding chi and
+    the forcing's spectrum dxi rfft(lam), evaluates both once per distinct fine
+    stage time.
     """
     conv = -p.beta * np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
     dxi_full = 1j * grid.xi_half_odd
@@ -386,19 +408,22 @@ def _aux_nl(grid: GridSpec, p: ModelParams, profiles):
     cache = {}
 
     def at(t):
-        entry = cache.get(t)
+        entry = cache.pop(t, None)
         if entry is None:
+            if len(cache) == 3:
+                del cache[next(iter(cache))]
             chi_t, lam_t = profiles(t)
             forcing = None if lam_t is None else dxi_full * np.fft.rfft(lam_t)
-            if len(cache) == 2:
-                del cache[next(iter(cache))]
-            entry = cache[t] = (chi_t, forcing)
+            entry = (chi_t, forcing)
+        cache[t] = entry
         return entry
 
     def nl(zhat, t):
         chi_t, forcing = at(t)
-        out = conv * np.fft.rfft(chi_t * np.fft.irfft(zhat, n=N))
-        return out if forcing is None else out + forcing
+        u = np.fft.irfft(zhat, n=N)
+        r = np.fft.rfft(np.multiply(chi_t, u, out=u))
+        r = np.multiply(conv, r, out=r)
+        return r if forcing is None else np.add(r, forcing, out=r)
 
     return nl, lambda t: at(t)[0]
 
@@ -427,9 +452,9 @@ def solve_aux(
     The heat part is exact per step; the convection term and the forcing are
     advanced by the exponential stages.  lam is a callable t -> grid values of
     the forcing, or None.  chi (analytic) and lam are evaluated once per
-    distinct stage time of a march: chi and the forcing's spectrum are kept
-    for the last two stage times (256 KB at N = 8192), so a segment of n
-    accepted steps without a rejected trial evaluates them at most 3 n + 2 times.
+    distinct fine stage time of a trial (the coarse steps use fine stage times,
+    and the three last used are kept: 384 KB at N = 8192), so a segment of n
+    accepted steps without a rejected trial evaluates them at most 2 n + 1 times.
     Steps are chosen as in integrate, with the convection guard (xi chi is
     unbounded in xi) as the cap.  The guard of each segment uses max|chi| at the
     segment's start, which bounds chi over the whole segment because

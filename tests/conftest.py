@@ -29,21 +29,22 @@ def rng():
 
 @pytest.fixture
 def flaky_march(monkeypatch):
-    """Call with n to make the solver's step loop raise InstabilityError on
-    its first n calls, as the blow-up sentinel would.  Returns the list that
-    collects the step size of each injected failure."""
+    """Call with n to make the solver's ETD-RK4 step, which the fixed-dt and
+    step-doubling routes share, raise InstabilityError on its first n calls, as
+    the blow-up sentinel would.  Returns the list that collects the step size
+    of each injected failure."""
 
     def install(failures=1):
-        real = sv._march
+        real = sv._step
         failed_dts = []
 
-        def march(uhat, t0, n_steps, coeffs, *args):
+        def step(uhat, t, t_half, t_end, coeffs, nl, Nu=None):
             if len(failed_dts) < failures:
                 failed_dts.append(coeffs.dt)
                 raise InstabilityError("injected blow-up")
-            return real(uhat, t0, n_steps, coeffs, *args)
+            return real(uhat, t, t_half, t_end, coeffs, nl, Nu)
 
-        monkeypatch.setattr(sv, "_march", march)
+        monkeypatch.setattr(sv, "_step", step)
         return failed_dts
 
     return install

@@ -180,8 +180,10 @@ class TestSolveAux:
         assert np.abs(traj.mass_log).max() < 1e-12
 
     def test_forcing_evaluated_once_per_stage_time(self, grid60, monkeypatch):
-        # a step's four stages share three times, the last one with the next step;
-        # count the forcing calls up to the end of each segment's doubling (a
+        # a step's four stages share three times, the last one with the next step,
+        # and every coarse stage time is a fine one: 2 n + 1 distinct times for n
+        # fine steps, the convection guard's lookup at the segment start included.
+        # Count the forcing calls up to the end of each segment's doubling (a
         # rejected trial re-marches, so only segments without one are bounded)
         z0 = Field(grid60, np.zeros(grid60.n_points))
         calls, ends = [], []
@@ -205,7 +207,7 @@ class TestSolveAux:
                  if seg.n_rejected == 0]
         assert len(clean) >= 2
         for seg, n_calls in clean:
-            assert n_calls <= 3 * seg.n_steps + 2
+            assert n_calls <= 2 * seg.n_steps + 1
 
 
 class TestSolveSecondAux:
@@ -327,3 +329,79 @@ class TestStepControl:
         assert traj.steps_accepted <= fixed_steps / 5
         dts = [s.dt for s in traj.step_stats]
         assert dts[-1] > 10 * dts[0]
+
+
+def seed_march(uhat, t0, n, co, nl):
+    """n ETD-RK4 steps of co.dt, each with its own first stage and the
+    formula's out-of-place arithmetic."""
+    t = t0
+    for _ in range(n):
+        Nu = nl(uhat, t)
+        a = co.E2 * uhat + co.Q * Nu
+        Na = nl(a, t + 0.5 * co.dt)
+        b = co.E2 * uhat + co.Q * Na
+        Nb = nl(b, t + 0.5 * co.dt)
+        c = co.E2 * a + co.Q * (2.0 * Nb - Nu)
+        Nc = nl(c, t + co.dt)
+        uhat = co.E * uhat + co.f1 * Nu + co.f2 * (Na + Nb) + co.f3 * Nc
+        t += co.dt
+    return uhat
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLockstepTrial:
+    @pytest.mark.parametrize("kind", ["bbm", "heat"])
+    def test_tableau_pair_equals_separate_tableaux(self, grid60, kind, monkeypatch):
+        if kind == "bbm":
+            lin, dt = sv._bbmb_linear(grid60, P.gamma), 0.05
+        else:
+            lin, dt = -grid60.xi_half**2 + 0j, 1e-4
+        for z in (dt * lin, 2.0 * dt * lin):
+            small = np.abs(z) < sv._PHI_SMALL
+            assert small.any() and not small.all()
+        exps = []
+        real_exp = np.exp
+
+        def counting_exp(x):
+            exps.append(x)
+            return real_exp(x)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        fine, coarse = sv._tableaux(lin, dt, True)
+        assert len(exps) == 3
+        monkeypatch.undo()
+        assert fine.E is coarse.E2
+        for pair, ref in ((fine, sv._tableaux(lin, dt, False)[0]),
+                          (coarse, sv._tableaux(lin, 2.0 * dt, False)[0])):
+            assert pair.dt == ref.dt
+            for name in ("E", "E2", "Q", "f1", "f2", "f3"):
+                assert same_bits(getattr(pair, name), getattr(ref, name)), name
+
+    def test_integrate_trial_equals_separate_marches(self, grid60):
+        lin = sv._bbmb_linear(grid60, P.gamma)
+        nl = sv._bbmb_nl(grid60, P)
+        stepper = sv._Stepper(grid60, lin, nl, math.inf)
+        uhat = np.fft.rfft(gaussian_data(grid60).values)
+        fine, coarse = sv._tableaux(lin, 0.05, True)
+        fine_hat, coarse_hat, _ = stepper.march(uhat, 0.3, 10, fine, coarse)
+        assert same_bits(fine_hat, seed_march(uhat, 0.3, 10, fine, nl))
+        assert same_bits(coarse_hat, seed_march(uhat, 0.3, 5, coarse, nl))
+        # the fixed-dt route marches the same fine chain
+        assert same_bits(stepper.march(uhat, 0.3, 10, fine, None)[0], fine_hat)
+
+    def test_solve_aux_trial_equals_separate_marches(self, grid60):
+        # the coarse stage times are the fine march's accumulated times, which
+        # may differ from the coarse march's own by an ulp
+        p = ModelParams(1.0, 1.0, 3.0, 0.5)
+        lin = -grid60.xi_half**2 + 0j
+        nl, _ = sv._aux_nl(grid60, p, sv._WaveForcing(grid60.x, p).profiles)
+        stepper = sv._Stepper(grid60, lin, nl, math.inf)
+        uhat = np.fft.rfft(0.01 * grid60.x * np.exp(-grid60.x**2 / 4.0))
+        fine, coarse = sv._tableaux(lin, 0.03, True)
+        fine_hat, coarse_hat, _ = stepper.march(uhat, 1.1, 14, fine, coarse)
+        assert same_bits(fine_hat, seed_march(uhat, 1.1, 14, fine, nl))
+        ref = seed_march(uhat, 1.1, 7, coarse, nl)
+        assert np.abs(coarse_hat - ref).max() <= 1e-14 * np.abs(ref).max()
