@@ -59,7 +59,8 @@ def _cmd_simulate(args) -> int:
     solver = bundle["report"]["solver"]
     print(f"solver: {solver['segments']} segments, {solver['steps_accepted']} steps "
           f"accepted, {solver['steps_rejected']} rejected, "
-          f"dt_final {solver['dt_final']:.4g}")
+          f"dt_final {solver['dt_final']:.4g}, "
+          f"n_points_final {solver['n_points_final']}")
     print(f"bundle written to {bundle['paths'].get('bundle_dir', '<not written>')}")
     return 0
 

@@ -328,6 +328,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
             "steps_accepted": traj.steps_accepted,
             "steps_rejected": traj.steps_rejected,
             "dt_final": float(traj.step_stats[-1].dt),
+            "n_points_final": traj.step_stats[-1].n_points,
             "times": [float(t) for t in traj.times],
         },
         "fits": fits,

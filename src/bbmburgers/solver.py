@@ -15,9 +15,35 @@ step is h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
 A rejected trial (error too large, or a blow-up caught by the sentinel) shrinks
 h and retries the segment, at most _MAX_REJECTIONS times in a row.  An explicit
 integrate dt marches fixed uniform steps instead, with no retry: the
-independent route the self-convergence oracles use.
+independent route the self-convergence oracles use.  The last step of a
+segment ends at the sample time exactly, not at the accumulated time.
+
+Each adaptive segment marches on the smallest grid its spectrum needs.  Before
+the segment, the trajectory halves N, never below 16, while the modes of the
+state at and above the half grid's 2/3-rule band edge, k >= (N/2)/3, hold at
+most _LADDER_FLOOR = _ROUNDOFF**2 of its energy; for the linearized flows the
+same test covers chi and the forcing spectrum at the segment start.  Those are
+chi_star and its derivatives at x / sqrt(1 + t), so their spectra only narrow
+in time, as sup|chi| only falls.  The grid is never refined: a state that
+fills the coarse grid again trips its Nyquist guard (InstabilityError).  The
+step h carries across a switch, and the fixed-dt route stays on the full grid.
+
+Why the state's own spectrum decides: on the half grid the 2/3 rule makes the
+products exact on its band for a state inside that band, so what the switch
+drops is the state's modes beyond the band, below the floor by the test, and
+the products' modes beyond it, which the full grid would have kept.  Those
+sit at the floor too.  A smooth state decays exponentially,
+|u_k| <= A e^{-s|k|}, and a product of two such sequences decays by the same
+exponential, |(uv)_k| <= A B (|k| + 1 + 2/(e^{2s} - 1)) e^{-s|k|}, so beyond
+the band a product is its factors' own tails times an amplitude and a mode
+count, and the linear part damps what it forces there.  (TestTransformLadder
+finds laddered and full-grid runs 1e-17 apart.)  The coarse state is the fine one
+truncated to the coarse modes, its Nyquist mode zeroed, and chi and a user
+forcing are evaluated on the coarse x, the full x[::2].  Each snapshot is the
+coarse state zero-padded back to the full grid: its trigonometric interpolant.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +78,11 @@ _GROWTH_MAX = 4.0
 _SHRINK_MIN = 0.2
 _SAFETY = 0.9
 _MAX_REJECTIONS = 8  # consecutive rejected trials of one segment before giving up
+
+# transform-size ladder: a segment marches on the half grid while the modes
+# beyond its 2/3-rule band hold at most this fraction of the energy
+_LADDER_FLOOR = _ROUNDOFF**2
+_MIN_POINTS = 16  # the smallest GridSpec
 
 
 def validity_horizon(grid: GridSpec) -> float:
@@ -149,10 +180,28 @@ def _nonlinear_multiplier(grid: GridSpec, beta: float):
     return np.where(grid.dealias, mult, 0.0)
 
 
-def _nyquist_fraction(uhat, band):
+def _energy_fraction(uhat, band):
+    """The share of uhat's energy in band (0 for a zero spectrum)."""
     e = half_spectrum_energy(uhat)
     total = e.sum()
     return float(e[band].sum() / total) if total > 0.0 else 0.0
+
+
+def _halve_spectrum(hat):
+    """hat truncated to the modes of the half grid, scaled to its unnormalized
+    convention, with the half grid's Nyquist mode zeroed."""
+    m = (hat.size - 1) // 2
+    out = 0.5 * hat[: m + 1]
+    out[m] = 0.0
+    return out
+
+
+def _pad_values(hat, n_points: int):
+    """Values on n_points of hat zero-padded: the trigonometric interpolant of
+    hat's grid values, whose Nyquist mode is zero."""
+    full = np.zeros(n_points // 2 + 1, dtype=hat.dtype)
+    full[: hat.size] = hat * (n_points / (2 * (hat.size - 1)))
+    return np.fft.irfft(full, n=n_points)
 
 
 def _bbmb_nl(grid: GridSpec, p: ModelParams):
@@ -178,14 +227,16 @@ def _dt_max_bbmb(p: ModelParams, amplitude: float) -> float:
 
 @dataclass
 class StepStats:
-    """One sample segment: the steps of the accepted march, the trials rejected
-    before it and the step-doubling error estimate (None on a fixed-dt run)."""
+    """One sample segment: the steps of the accepted march, the transform size
+    it marched on, the trials rejected before it and the step-doubling error
+    estimate (None on a fixed-dt run)."""
 
     t_start: float
     t_end: float
     dt: float
     n_steps: int
     nyquist_peak: float
+    n_points: int
     n_rejected: int = 0
     err_est: float | None = None
 
@@ -248,25 +299,31 @@ class _Stepper:
                 f"spectral magnitude {peak:.3e} exceeded guard at t={t:.4g}"
             )
 
-    def march(self, uhat, t, n, fine: _EtdCoeffs, coarse: _EtdCoeffs | None):
-        """n steps of fine.dt from time t and, given a coarse tableau, n/2 steps
-        of 2 dt in lockstep from the same first stage, each right after the first
-        fine step it spans and at fine times.  Returns the fine and coarse (uhat
-        if none) spectra and the fine march's peak Nyquist-band magnitude."""
+    def march(self, uhat, t, n, fine: _EtdCoeffs, coarse: _EtdCoeffs | None,
+              t_last=None):
+        """n steps of fine.dt from time t, the last ending at t_last if given,
+        and, given a coarse tableau, n/2 steps of 2 dt in lockstep from the same
+        first stage, each right after the first fine step it spans and at fine
+        times.  Returns the fine and coarse (uhat if none) spectra and the fine
+        march's peak Nyquist-band magnitude."""
         nl, dt = self.nl, fine.dt
+        times = [t]
+        for _ in range(n):
+            times.append(times[-1] + dt)
+        if t_last is not None:
+            times[-1] = t_last
         first = nl(uhat, t)
         coarse_hat = uhat
         nyq_peak = 0.0
         for k in range(n):
-            t_end = t + dt
+            t, t_end = times[k], times[k + 1]
             uhat = _step(uhat, t, t + 0.5 * dt, t_end, fine, nl, first)
             self._guard(uhat, t_end)
             nyq_peak = max(nyq_peak, float(np.abs(uhat[self.band]).max()))
             if coarse is not None and k % 2 == 0:
-                coarse_hat = _step(coarse_hat, t, t_end, t_end + dt, coarse, nl, first)
-                self._guard(coarse_hat, t_end + dt)
+                coarse_hat = _step(coarse_hat, t, t_end, times[k + 2], coarse, nl, first)
+                self._guard(coarse_hat, times[k + 2])
             first = None
-            t = t_end
         return uhat, coarse_hat, nyq_peak
 
     def fixed(self, uhat, t0, t1, dt):
@@ -274,9 +331,9 @@ class _Stepper:
         span = t1 - t0
         n = max(1, int(math.ceil(span / dt - 1e-12)))
         fine, _ = _tableaux(self.linear, span / n, False)
-        new_hat, _, nyq = self.march(uhat, t0, n, fine, None)
+        new_hat, _, nyq = self.march(uhat, t0, n, fine, None, t1)
         values = np.fft.irfft(new_hat, n=self.n_points)
-        return new_hat, values, StepStats(t0, t1, span / n, n, nyq)
+        return new_hat, values, StepStats(t0, t1, span / n, n, nyq, self.n_points)
 
     def doubling(self, uhat, t0, t1, h, h_max, start_peak):
         """The segment under step-doubling error control from the trial step h:
@@ -288,7 +345,7 @@ class _Stepper:
             dt = span / (2 * n)
             try:
                 fine_hat, coarse_hat, nyq = self.march(
-                    uhat, t0, 2 * n, *_tableaux(self.linear, dt, True)
+                    uhat, t0, 2 * n, *_tableaux(self.linear, dt, True), t1
                 )
             except InstabilityError:
                 factor = 0.5
@@ -300,7 +357,8 @@ class _Stepper:
                 tol = _RTOL * peak + _ROUNDOFF * max(peak, start_peak)
                 factor = _GROWTH_MAX if err == 0.0 else _SAFETY * (tol / err) ** 0.2
                 if err <= tol:
-                    stats = StepStats(t0, t1, dt, 2 * n, nyq, rejected, err)
+                    stats = StepStats(t0, t1, dt, 2 * n, nyq, self.n_points,
+                                      rejected, err)
                     return fine_hat, values, stats, dt * min(_GROWTH_MAX, factor)
                 factor = max(_SHRINK_MIN, factor)
             rejected += 1
@@ -312,49 +370,96 @@ class _Stepper:
             h = dt * factor
 
 
-def _run_trajectory(grid, p, u0_values, t_samples, linear, nl, dt, dt_guard):
-    """Sample the flow at t_samples: fixed uniform steps when dt is given,
-    step doubling otherwise, with the coarse step of the segment starting at
-    t capped by dt_guard(t)."""
-    dx = grid.dx
+class _BbmbFlow:
+    """The full equation on one grid: its linear part, its nonlinear stage and
+    the nonlinear stability guard, which holds on every grid."""
+
+    def __init__(self, grid: GridSpec, p: ModelParams, dt_guard: float):
+        self.grid = grid
+        self.p = p
+        self.dt_guard = dt_guard
+        self.linear = _bbmb_linear(grid, p.gamma)
+        self.nl = _bbmb_nl(grid, p)
+
+    def guard(self, t):
+        return self.dt_guard
+
+    def spectra(self, t):
+        return ()
+
+    def halved(self, t):
+        return _BbmbFlow(_half_grid(self.grid), self.p, self.dt_guard)
+
+
+def _half_grid(grid: GridSpec) -> GridSpec:
+    return GridSpec(grid.half_width, grid.n_points // 2)
+
+
+def _halved(flow, uhat, t):
+    """flow and uhat on the smallest grid, halving from flow's, that holds the
+    state and flow.spectra(t) to _LADDER_FLOOR (see the module docstring)."""
+    while flow.grid.n_points // 2 >= _MIN_POINTS:
+        # the modes at and above the half grid's 2/3-rule band edge
+        beyond = slice((flow.grid.n_points // 2) // 3, None)
+        spectra = itertools.chain((uhat,), flow.spectra(t))
+        if any(_energy_fraction(s, beyond) > _LADDER_FLOOR for s in spectra):
+            break
+        flow, uhat = flow.halved(t), _halve_spectrum(uhat)
+    return flow, uhat
+
+
+def _run_trajectory(flow, u0_values, t_samples, dt):
+    """Sample the flow at t_samples: fixed uniform steps on flow's grid when dt
+    is given, step doubling otherwise, each segment on the grid _halved leaves
+    and with the coarse step of the segment starting at t capped by
+    flow.guard(t)."""
+    grid = flow.grid
+    N = grid.n_points
     u_vals = np.asarray(u0_values, dtype=np.float64)
     uhat = np.fft.rfft(u_vals)
     init = float(np.abs(uhat).max())
-    threshold = _BLOWUP_FACTOR * init if init > 0.0 else math.inf
-    stepper = _Stepper(grid, linear, nl, threshold)
+    # the blow-up guard bounds the unnormalized spectrum, which scales with N
+    threshold = _BLOWUP_FACTOR * init / N if init > 0.0 else math.inf
+
+    def stepper(f):
+        return _Stepper(f.grid, f.linear, f.nl, threshold * f.grid.n_points)
 
     times, snaps, masses, fracs, stats = [], [], [], [], []
 
-    def record(t, uhat, u):
+    def record(t, uhat, u, g):
+        if g.n_points != N:
+            u = _pad_values(uhat, N)
         times.append(t)
         snaps.append(Field(grid, u))
-        masses.append(dx * u.sum())
-        fracs.append(_nyquist_fraction(uhat, grid.nyquist_band))
+        masses.append(grid.dx * u.sum())
+        fracs.append(_energy_fraction(uhat, g.nyquist_band))
         if fracs[-1] >= 1e-6:
             raise InstabilityError(
                 f"Nyquist-band energy fraction {fracs[-1]:.2e} at t={t:.4g}: "
-                "grid no longer resolves the solution"
+                f"grid of {g.n_points} points no longer resolves the solution"
             )
 
     ts = t_samples
     t_prev = 0.0
     if ts[0] == 0.0:
-        record(0.0, uhat, u_vals)
+        record(0.0, uhat, u_vals, grid)
         ts = ts[1:]
     h = _H_START
     for t_next in ts:
         if dt is not None:
-            uhat, u_vals, seg = stepper.fixed(uhat, t_prev, t_next, dt)
+            uhat, u_vals, seg = stepper(flow).fixed(uhat, t_prev, t_next, dt)
         else:
             start_peak = float(np.abs(u_vals).max())
-            uhat, u_vals, seg, h = stepper.doubling(
-                uhat, t_prev, t_next, h, 0.5 * dt_guard(t_prev), start_peak
+            h_max = 0.5 * flow.guard(t_prev)
+            flow, uhat = _halved(flow, uhat, t_prev)
+            uhat, u_vals, seg, h = stepper(flow).doubling(
+                uhat, t_prev, t_next, h, h_max, start_peak
             )
         stats.append(seg)
         t_prev = t_next
-        record(t_next, uhat, u_vals)
+        record(t_next, uhat, u_vals, flow.grid)
 
-    return Trajectory(p, grid, np.asarray(times), snaps, np.asarray(masses),
+    return Trajectory(flow.p, grid, np.asarray(times), snaps, np.asarray(masses),
                       np.asarray(fracs), stats).validate()
 
 
@@ -369,9 +474,10 @@ def integrate(
     Small-data regime is enforced (||u0||_inf <= _MAX_AMPLITUDE).  By default
     the step is error-controlled per sample segment (step doubling against
     _RTOL, see the module docstring), with the coarse step capped by the
-    nonlinear stability guard; a blow-up is a rejected trial.  An explicit dt
-    marches fixed uniform steps of at most dt and raises InstabilityError on
-    a blow-up.
+    nonlinear stability guard; a blow-up is a rejected trial, and each segment
+    marches on the smallest grid its spectrum needs.  An explicit dt marches
+    fixed uniform steps of at most dt on u0's grid throughout and raises
+    InstabilityError on a blow-up.
     """
     ts = _check_samples(u0.grid, t_samples)
     amp = float(np.abs(u0.values).max())
@@ -382,37 +488,35 @@ def integrate(
     dt_guard = _dt_max_bbmb(p, max(amp, 1e-12))
     if dt is not None and (dt <= 0 or dt > dt_guard):
         raise ConfigError(f"dt={dt} outside the stability guard")
-    g = u0.grid
-    return _run_trajectory(
-        g, p, u0.values, ts, _bbmb_linear(g, p.gamma), _bbmb_nl(g, p), dt,
-        lambda t: dt_guard,
-    )
+    return _run_trajectory(_BbmbFlow(u0.grid, p, dt_guard), u0.values, ts, dt)
 
 
 # ---------------------------------------------------------------------------
 # Linearized problems around the diffusion wave
 
-def _aux_nl(grid: GridSpec, p: ModelParams, profiles):
-    """The convection and forcing stages of the linearized flows, and chi by time.
+def _aux_nl(grid: GridSpec, p: ModelParams, profiles, seed=None):
+    """The convection and forcing stages of the linearized flows, and their
+    coefficients chi and the forcing spectrum by time.
 
-    profiles(t) returns chi and the forcing values (or None) at t.  A step's
-    stage times are t, t + h/2, t + h, the last the next step's first; a coarse
-    step runs after the first fine step it spans, at the fine times t, t + h,
-    t + 2h.  So a cache of the three stage times last used, each holding chi and
-    the forcing's spectrum dxi rfft(lam), evaluates both once per distinct fine
-    stage time.
+    profiles(x, t) returns chi and the forcing values (or None) at x and t.  A
+    step's stage times are t, t + h/2, t + h, the last the next step's first; a
+    coarse step runs after the first fine step it spans, at the fine times t,
+    t + h, t + 2h.  So a cache of the three stage times last used, each holding
+    chi and the forcing's spectrum dxi rfft(lam), evaluates both once per
+    distinct fine stage time.  seed, a (t, entry) pair, starts the cache.
     """
     conv = -p.beta * np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
     dxi_full = 1j * grid.xi_half_odd
     N = grid.n_points
-    cache = {}
+    x = grid.x
+    cache = dict([seed]) if seed is not None else {}
 
     def at(t):
         entry = cache.pop(t, None)
         if entry is None:
             if len(cache) == 3:
                 del cache[next(iter(cache))]
-            chi_t, lam_t = profiles(t)
+            chi_t, lam_t = profiles(x, t)
             forcing = None if lam_t is None else dxi_full * np.fft.rfft(lam_t)
             entry = (chi_t, forcing)
         cache[t] = entry
@@ -425,19 +529,52 @@ def _aux_nl(grid: GridSpec, p: ModelParams, profiles):
         r = np.multiply(conv, r, out=r)
         return r if forcing is None else np.add(r, forcing, out=r)
 
-    return nl, lambda t: at(t)[0]
+    return nl, at
+
+
+class _AuxFlow:
+    """The linearized flow on one grid: the heat part, the _aux_nl stages and
+    the convection guard (xi chi is unbounded in xi), which keeps xi_max of the
+    full grid."""
+
+    def __init__(self, grid: GridSpec, p: ModelParams, profiles, xi_max: float,
+                 seed=None):
+        self.grid = grid
+        self.p = p
+        self.profiles = profiles
+        self.xi_max = xi_max
+        self.linear = -(grid.xi_half**2) + 0.0j
+        self.nl, self.at = _aux_nl(grid, p, profiles, seed)
+
+    def guard(self, t):
+        chi_peak = float(np.abs(self.at(t)[0]).max())
+        rate = abs(self.p.beta) * chi_peak * self.xi_max
+        return _NONLINEAR_STABILITY / max(rate, 1e-12)
+
+    def spectra(self, t):
+        chi_t, forcing = self.at(t)
+        yield np.fft.rfft(chi_t)
+        if forcing is not None:
+            yield forcing
+
+    def halved(self, t):
+        # the entry at t carried to the coarse x = x[::2], not evaluated again
+        chi_t, forcing = self.at(t)
+        forcing = None if forcing is None else _halve_spectrum(forcing)
+        entry = (chi_t[::2].copy(), forcing)
+        return _AuxFlow(_half_grid(self.grid), self.p, self.profiles, self.xi_max,
+                        (t, entry))
 
 
 class _WaveForcing:
     """The dispersive forcing lam(t) = -gamma chi_xx(x, t) of solve_second_aux,
     which solve_aux reads with chi from one chi_star evaluation per time."""
 
-    def __init__(self, x, p: ModelParams):
-        self.x = x
+    def __init__(self, p: ModelParams):
         self.p = p
 
-    def profiles(self, t):
-        chi_t, chi_xx_t = chi_and_chi_xx(self.x, t, self.p)
+    def profiles(self, x, t):
+        chi_t, chi_xx_t = chi_and_chi_xx(x, t, self.p)
         return chi_t, -self.p.gamma * chi_xx_t
 
 
@@ -451,10 +588,12 @@ def solve_aux(
 
     The heat part is exact per step; the convection term and the forcing are
     advanced by the exponential stages.  lam is a callable t -> grid values of
-    the forcing, or None.  chi (analytic) and lam are evaluated once per
+    the forcing, or None; on a coarse segment its values at the coarse x, the
+    full x[::2^k], are used.  chi (analytic) and lam are evaluated once per
     distinct fine stage time of a trial (the coarse steps use fine stage times,
     and the three last used are kept: 384 KB at N = 8192), so a segment of n
-    accepted steps without a rejected trial evaluates them at most 2 n + 1 times.
+    accepted steps without a rejected trial evaluates them at most 2 n + 1 times,
+    the ladder's test at the segment start included.
     Steps are chosen as in integrate, with the convection guard (xi chi is
     unbounded in xi) as the cap.  The guard of each segment uses max|chi| at the
     segment's start, which bounds chi over the whole segment because
@@ -462,21 +601,14 @@ def solve_aux(
     """
     ts = _check_samples(z0.grid, t_samples)
     g = z0.grid
-    xi_max = g.xi_half[-1]
     if isinstance(lam, _WaveForcing):
         profiles = lam.profiles
     else:
-        def profiles(t):
-            return chi(g.x, t, p), None if lam is None else lam(t)
-    nl, chi_at = _aux_nl(g, p, profiles)
-
-    def dt_guard(t):
-        chi_peak = float(np.abs(chi_at(t)).max())
-        return _NONLINEAR_STABILITY / max(abs(p.beta) * chi_peak * xi_max, 1e-12)
-
-    return _run_trajectory(
-        g, p, z0.values, ts, -(g.xi_half**2) + 0.0j, nl, None, dt_guard,
-    )
+        def profiles(x, t):
+            if lam is None:
+                return chi(x, t, p), None
+            return chi(x, t, p), np.asarray(lam(t))[:: g.n_points // x.size]
+    return _run_trajectory(_AuxFlow(g, p, profiles, g.xi_half[-1]), z0.values, ts, None)
 
 
 def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
@@ -489,5 +621,5 @@ def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
     if abs(p.mass) > 1.0:
         raise ConfigError("|mass| <= 1 required by the wave decay estimates")
     z0 = Field(grid, np.zeros(grid.n_points))
-    lam = _WaveForcing(grid.x, p) if p.gamma != 0.0 else None
+    lam = _WaveForcing(p) if p.gamma != 0.0 else None
     return solve_aux(z0, lam, p, t_samples)

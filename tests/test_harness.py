@@ -169,6 +169,8 @@ class TestRunExperiment:
         assert solver["steps_rejected"] == 1
         assert solver["steps_accepted"] >= 2 * solver["segments"]
         assert type(solver["dt_final"]) is float
+        assert type(solver["n_points_final"]) is int
+        assert 16 <= solver["n_points_final"] <= tiny_scenario().N
         assert "dt_halvings" not in solver
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
@@ -435,6 +437,7 @@ class TestCli:
         summary = capsys.readouterr().out.splitlines()[0]
         assert summary.startswith("solver: 12 segments, ")
         assert " rejected, dt_final " in summary
+        assert ", n_points_final " in summary
         bundle_dir = os.path.join(out, hn.scenario_hash(tiny_scenario()))
         rc = cli.main(["rates", "--bundle", bundle_dir, "--combo", "chi",
                        "--norm", "linf", "--l", "0"])

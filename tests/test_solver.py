@@ -397,7 +397,7 @@ class TestLockstepTrial:
         # may differ from the coarse march's own by an ulp
         p = ModelParams(1.0, 1.0, 3.0, 0.5)
         lin = -grid60.xi_half**2 + 0j
-        nl, _ = sv._aux_nl(grid60, p, sv._WaveForcing(grid60.x, p).profiles)
+        nl, _ = sv._aux_nl(grid60, p, sv._WaveForcing(p).profiles)
         stepper = sv._Stepper(grid60, lin, nl, math.inf)
         uhat = np.fft.rfft(0.01 * grid60.x * np.exp(-grid60.x**2 / 4.0))
         fine, coarse = sv._tableaux(lin, 0.03, True)
@@ -405,3 +405,102 @@ class TestLockstepTrial:
         assert same_bits(fine_hat, seed_march(uhat, 1.1, 14, fine, nl))
         ref = seed_march(uhat, 1.1, 7, coarse, nl)
         assert np.abs(coarse_hat - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def ladder_scenario(kind):
+    from bbmburgers import harness as hn
+    extra = {"gaussian": dict(alpha=2.0, amplitude=0.3),
+             "power_tail": dict(alpha=3.0, amplitude=0.1),
+             "prescribed_r0": dict(alpha=1.5, c_plus=1.0, c_minus=-1.0)}[kind]
+    s = hn.Scenario(name=f"ladder-{kind}", beta=1.0, gamma=1.0, mass=0.3,
+                    data_kind=kind, L=50.0, N=1024, **extra)
+    return s, hn.make_initial_data(s)
+
+
+class TestTransformLadder:
+    TIMES = [1.0, 4.0, 16.0, 25.0, 30.0, 36.0]
+
+    def test_halve_then_pad_is_exact_interpolation(self, rng):
+        from conftest import band_limited
+        g = make_grid(60.0, 256)
+        f = band_limited(g, rng, n_modes=40)
+        hat = np.fft.rfft(f.values)
+        half = sv._halve_spectrum(hat)
+        assert half.size == 65 and half[-1] == 0.0
+        coarse = np.fft.irfft(half, n=128)
+        assert np.abs(coarse - f.values[::2]).max() < 1e-13
+        assert np.abs(sv._pad_values(half, 256) - f.values).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", ["gaussian", "power_tail", "prescribed_r0"])
+    def test_laddered_run_matches_full_grid_routes(self, kind, monkeypatch):
+        # at the default _RTOL the first prescribed_r0 segment, still on the full
+        # grid, carries a step error of 1.7e-8; at 1e-9 the step error sits well
+        # below TestStepControl's bound, so the comparison sees the ladder
+        monkeypatch.setattr(sv, "_RTOL", 1e-9)
+        s, u0 = ladder_scenario(kind)
+        N = s.N
+        laddered = sv.integrate(u0, s.params, self.TIMES)
+        fixed = sv.integrate(u0, s.params, self.TIMES, dt=0.02)
+        monkeypatch.setattr(sv, "_MIN_POINTS", 2 * N)
+        held = sv.integrate(u0, s.params, self.TIMES)
+        assert any(seg.n_points < N for seg in laddered.step_stats)
+        assert all(seg.n_points == N for seg in fixed.step_stats)
+        assert all(seg.n_points == N for seg in held.step_stats)
+        for a, b, c in zip(laddered.snapshots, fixed.snapshots, held.snapshots):
+            assert a.values.shape == (N,)
+            assert np.abs(a.values - b.values).max() < 1e-8
+            assert np.abs(a.values - c.values).max() < 1e-15
+
+    def test_grid_only_narrows(self):
+        _, u0 = ladder_scenario("power_tail")
+        sizes = [seg.n_points for seg in sv.integrate(u0, P, self.TIMES).step_stats]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_fixed_step_route_never_coarsens(self, grid60):
+        u0 = gaussian_data(grid60)
+        assert sv.integrate(u0, P, [1.0, 2.0]).step_stats[0].n_points < 2048
+        fixed = sv.integrate(u0, P, [1.0, 2.0], dt=0.05)
+        assert [seg.n_points for seg in fixed.step_stats] == [2048, 2048]
+
+    def test_state_up_to_nyquist_not_coarsened(self, grid60):
+        # BBM damps the Nyquist mode only like exp(-t): it stays far above the floor
+        nyquist = 1e-7 * (-1.0) ** np.arange(grid60.n_points)
+        u0 = Field(grid60, gaussian_data(grid60).values + nyquist)
+        traj = sv.integrate(u0, P, [0.5, 1.0])
+        assert [seg.n_points for seg in traj.step_stats] == [2048, 2048]
+
+    def test_second_aux_coarsens_with_the_wave(self, grid60):
+        p = ModelParams(1.0, 1.0, 3.0, 0.5)
+        traj = sv.solve_second_aux(p, grid60, [1.0, 4.0, 16.0])
+        sizes = [seg.n_points for seg in traj.step_stats]
+        assert sizes[-1] < 2048 and sizes == sorted(sizes, reverse=True)
+        assert all(snap.values.shape == (2048,) for snap in traj.snapshots)
+
+    @pytest.mark.parametrize("flow", ["integrate", "solve_second_aux"])
+    def test_too_coarse_grid_trips_nyquist_guard(self, grid60, flow, monkeypatch):
+        # a floor that lets every state pass halves to the smallest grid, which
+        # cannot hold the solution: the coarse grid's guard raises
+        monkeypatch.setattr(sv, "_LADDER_FLOOR", 1.0)
+        with pytest.raises(InstabilityError, match="Nyquist-band energy fraction"):
+            if flow == "integrate":
+                sv.integrate(gaussian_data(grid60), P, [1.0, 2.0])
+            else:
+                sv.solve_second_aux(ModelParams(1.0, 1.0, 3.0, 0.5), grid60, [1.0, 2.0])
+
+    def test_segments_end_at_sample_times(self, grid60):
+        # the last fine step of a segment ends at the sample time itself, so the
+        # next segment's first stage finds it in the cache
+        p = ModelParams(1.0, 1.0, 3.0, 0.5)
+        calls = []
+
+        def lam(t):
+            calls.append(t)
+            return -p.gamma * pr.chi_xx(grid60.x, t, p)
+
+        z0 = Field(grid60, np.zeros(grid60.n_points))
+        samples = np.geomspace(1.0, 8.0, 6)
+        sv.solve_aux(z0, lam, p, samples)
+        calls = np.asarray(calls)
+        for t in samples:
+            near = np.abs(calls - t) < 1e-9
+            assert np.all(calls[near] == t)
