@@ -22,6 +22,7 @@ __all__ = [
     "chi_star",
     "chi_star_deriv",
     "chi_star_deriv2",
+    "chi_star_sup",
     "chi",
     "chi_x",
     "chi_xx",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+_SUP_ITERATIONS = 50  # chi_star_sup fixed-point iterations before giving up
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,20 @@ def _chi_star_deriv2_of(y, c, beta: float):
 def chi_star_deriv2(x, p: ModelParams):
     x = np.asarray(x, dtype=np.float64)
     return _chi_star_deriv2_of(x, chi_star(x, p), p.beta)
+
+
+def chi_star_sup(p: ModelParams) -> float:
+    """sup|chi_star|, so sup|chi(., t)| = chi_star_sup / sqrt(1 + t) on any points.
+    The extremum sits where chi_star' = 0, i.e. x = beta chi_star(x), and there
+    the derivative of beta chi_star vanishes: the fixed-point iteration from
+    x = 0 converges quadratically.  NumericsError if it has not."""
+    x = 0.0
+    for _ in range(_SUP_ITERATIONS):
+        x_next = p.beta * float(chi_star(x, p))
+        if abs(x_next - x) <= 1e-12 * (1.0 + abs(x)):
+            return abs(float(chi_star(x_next, p)))
+        x = x_next
+    raise NumericsError(f"sup|chi_star| iteration did not converge (last x = {x!r})")
 
 
 def chi(x, t, p: ModelParams):

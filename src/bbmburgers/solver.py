@@ -6,6 +6,10 @@ coefficient convection are advanced by the fourth-order exponential
 Runge-Kutta stages.  This makes the beta = 0 limit bit-for-bit equal to the
 semigroup, which the oracle tests exploit.
 
+Each equation on one grid is one flow object (_BbmbFlow, _AuxFlow): its linear
+multiplier, its stage nl(uhat, t), its step cap and its copy on the half grid.
+Their base _Flow marches them and holds the blow-up sentinel.
+
 By default the step is error-controlled per sample segment by step doubling:
 one trial marches n steps of 2h and 2n of h in lockstep from one shared first
 stage, each coarse step right after the first fine step it spans and at fine
@@ -26,7 +30,8 @@ same test covers chi and the forcing spectrum at the segment start.  Those are
 chi_star and its derivatives at x / sqrt(1 + t), so their spectra only narrow
 in time, as sup|chi| only falls.  The grid is never refined: a state that
 fills the coarse grid again trips its Nyquist guard (InstabilityError).  The
-step h carries across a switch, and the fixed-dt route stays on the full grid.
+step h and the blow-up sentinel per grid point carry across a switch, and the
+fixed-dt route stays on the full grid.
 
 Why the state's own spectrum decides: on the half grid the 2/3 rule makes the
 products exact on its band for a state inside that band, so what the switch
@@ -51,7 +56,7 @@ import numpy as np
 
 from .core import Field, GridSpec, half_spectrum_energy
 from .errors import ConfigError, InstabilityError
-from .profiles import ModelParams, chi, chi_and_chi_xx
+from .profiles import ModelParams, chi, chi_and_chi_xx, chi_star_sup
 
 __all__ = [
     "Trajectory",
@@ -166,19 +171,7 @@ def _step(uhat, t, t_half, t_end, co: _EtdCoeffs, nl, Nu=None):
 
 
 # ---------------------------------------------------------------------------
-# Half-spectrum multipliers
-
-def _bbmb_linear(grid: GridSpec, gamma: float):
-    xi2 = grid.xi_half**2
-    return (-xi2 + 1j * gamma * grid.xi_half_odd * xi2) / (1.0 + xi2)
-
-
-def _nonlinear_multiplier(grid: GridSpec, beta: float):
-    """-(beta/2) i xi / (1 + xi^2), the symbol of -(beta/2) d_x (1 - d_xx)^{-1}
-    acting on u^2, zeroed outside the 2/3-rule band."""
-    mult = -(0.5 * beta) * 1j * grid.xi_half_odd / (1.0 + grid.xi_half**2)
-    return np.where(grid.dealias, mult, 0.0)
-
+# Spectra on the transform-size ladder
 
 def _energy_fraction(uhat, band):
     """The share of uhat's energy in band (0 for a zero spectrum)."""
@@ -204,24 +197,6 @@ def _pad_values(hat, n_points: int):
     return np.fft.irfft(full, n=n_points)
 
 
-def _bbmb_nl(grid: GridSpec, p: ModelParams):
-    mult = _nonlinear_multiplier(grid, p.beta)
-    N = grid.n_points
-
-    def nl(uhat, t):
-        u = np.fft.irfft(uhat, n=N)
-        r = np.fft.rfft(np.multiply(u, u, out=u))
-        return np.multiply(mult, r, out=r)
-
-    return nl
-
-
-def _dt_max_bbmb(p: ModelParams, amplitude: float) -> float:
-    # the nonlinear multiplier |xi|/(1+xi^2) is bounded by 1/2
-    rate = max(0.5 * abs(p.beta) * amplitude, 1e-12)
-    return _NONLINEAR_STABILITY / rate
-
-
 # ---------------------------------------------------------------------------
 # Trajectories
 
@@ -235,7 +210,6 @@ class StepStats:
     t_end: float
     dt: float
     n_steps: int
-    nyquist_peak: float
     n_points: int
     n_rejected: int = 0
     err_est: float | None = None
@@ -282,19 +256,22 @@ def _check_samples(grid: GridSpec, t_samples) -> np.ndarray:
     return ts
 
 
-class _Stepper:
-    """Advances the state over one sample segment at a time."""
+class _Flow:
+    """One equation on one grid, marched one sample segment at a time.  A
+    subclass sets `linear`, the multiplier applied exactly over a step, and
+    defines the ETD-RK4 stage nl(uhat, t), guard(t), the largest coarse step from
+    t, spectra(t), the coefficient spectra the ladder tests with the state's, and
+    halved(grid, t), its copy on grid, the half of its own.  threshold is the
+    blow-up sentinel per grid point."""
 
-    def __init__(self, grid, linear, nl, threshold):
-        self.linear = linear
-        self.nl = nl
+    def __init__(self, grid: GridSpec, p: ModelParams, threshold: float):
+        self.grid = grid
+        self.p = p
         self.threshold = threshold
-        self.band = grid.nyquist_band
-        self.n_points = grid.n_points
 
-    def _guard(self, uhat, t):
+    def _sentinel(self, uhat, t):
         peak = float(np.abs(uhat).max())
-        if not math.isfinite(peak) or peak > self.threshold:
+        if not math.isfinite(peak) or peak > self.threshold * self.grid.n_points:
             raise InstabilityError(
                 f"spectral magnitude {peak:.3e} exceeded guard at t={t:.4g}"
             )
@@ -304,8 +281,7 @@ class _Stepper:
         """n steps of fine.dt from time t, the last ending at t_last if given,
         and, given a coarse tableau, n/2 steps of 2 dt in lockstep from the same
         first stage, each right after the first fine step it spans and at fine
-        times.  Returns the fine and coarse (uhat if none) spectra and the fine
-        march's peak Nyquist-band magnitude."""
+        times.  Returns the fine and coarse (uhat if none) spectra."""
         nl, dt = self.nl, fine.dt
         times = [t]
         for _ in range(n):
@@ -314,51 +290,49 @@ class _Stepper:
             times[-1] = t_last
         first = nl(uhat, t)
         coarse_hat = uhat
-        nyq_peak = 0.0
         for k in range(n):
             t, t_end = times[k], times[k + 1]
             uhat = _step(uhat, t, t + 0.5 * dt, t_end, fine, nl, first)
-            self._guard(uhat, t_end)
-            nyq_peak = max(nyq_peak, float(np.abs(uhat[self.band]).max()))
+            self._sentinel(uhat, t_end)
             if coarse is not None and k % 2 == 0:
                 coarse_hat = _step(coarse_hat, t, t_end, times[k + 2], coarse, nl, first)
-                self._guard(coarse_hat, times[k + 2])
+                self._sentinel(coarse_hat, times[k + 2])
             first = None
-        return uhat, coarse_hat, nyq_peak
+        return uhat, coarse_hat
 
     def fixed(self, uhat, t0, t1, dt):
         """The segment in uniform steps of at most dt; a blow-up raises."""
         span = t1 - t0
         n = max(1, int(math.ceil(span / dt - 1e-12)))
-        fine, _ = _tableaux(self.linear, span / n, False)
-        new_hat, _, nyq = self.march(uhat, t0, n, fine, None, t1)
-        values = np.fft.irfft(new_hat, n=self.n_points)
-        return new_hat, values, StepStats(t0, t1, span / n, n, nyq, self.n_points)
+        N = self.grid.n_points
+        new_hat, _ = self.march(uhat, t0, n, _tableaux(self.linear, span / n, False)[0],
+                                None, t1)
+        return new_hat, np.fft.irfft(new_hat, n=N), StepStats(t0, t1, span / n, n, N)
 
     def doubling(self, uhat, t0, t1, h, h_max, start_peak):
         """The segment under step-doubling error control from the trial step h:
         returns the fine spectrum, its values, its StepStats and the next step."""
         span = t1 - t0
+        N = self.grid.n_points
         rejected = 0
         while True:
             n = max(1, int(math.ceil(span / (2.0 * min(h, h_max)) - 1e-12)))
             dt = span / (2 * n)
             try:
-                fine_hat, coarse_hat, nyq = self.march(
+                fine_hat, coarse_hat = self.march(
                     uhat, t0, 2 * n, *_tableaux(self.linear, dt, True), t1
                 )
             except InstabilityError:
                 factor = 0.5
             else:
-                values = np.fft.irfft(fine_hat, n=self.n_points)
-                diff = np.fft.irfft(fine_hat - coarse_hat, n=self.n_points)
+                values = np.fft.irfft(fine_hat, n=N)
+                diff = np.fft.irfft(fine_hat - coarse_hat, n=N)
                 err = float(np.abs(diff).max()) / 15.0
                 peak = float(np.abs(values).max())
                 tol = _RTOL * peak + _ROUNDOFF * max(peak, start_peak)
                 factor = _GROWTH_MAX if err == 0.0 else _SAFETY * (tol / err) ** 0.2
                 if err <= tol:
-                    stats = StepStats(t0, t1, dt, 2 * n, nyq, self.n_points,
-                                      rejected, err)
+                    stats = StepStats(t0, t1, dt, 2 * n, N, rejected, err)
                     return fine_hat, values, stats, dt * min(_GROWTH_MAX, factor)
                 factor = max(_SHRINK_MIN, factor)
             rejected += 1
@@ -370,16 +344,26 @@ class _Stepper:
             h = dt * factor
 
 
-class _BbmbFlow:
-    """The full equation on one grid: its linear part, its nonlinear stage and
-    the nonlinear stability guard, which holds on every grid."""
+class _BbmbFlow(_Flow):
+    """The full equation: the linear part (-xi^2 + i gamma xi^3)/(1 + xi^2) and
+    the smoothed quadratic term, with the nonlinear stability guard dt_guard,
+    which holds on every grid."""
 
-    def __init__(self, grid: GridSpec, p: ModelParams, dt_guard: float):
-        self.grid = grid
-        self.p = p
+    def __init__(self, grid: GridSpec, p: ModelParams, dt_guard: float,
+                 threshold: float):
+        super().__init__(grid, p, threshold)
         self.dt_guard = dt_guard
-        self.linear = _bbmb_linear(grid, p.gamma)
-        self.nl = _bbmb_nl(grid, p)
+        xi2 = grid.xi_half**2
+        self.linear = (-xi2 + 1j * p.gamma * grid.xi_half_odd * xi2) / (1.0 + xi2)
+        # -(beta/2) i xi / (1 + xi^2), the symbol of -(beta/2) d_x (1 - d_xx)^{-1}
+        # acting on u^2, zeroed outside the 2/3-rule band
+        mult = -(0.5 * p.beta) * 1j * grid.xi_half_odd / (1.0 + xi2)
+        self.mult = np.where(grid.dealias, mult, 0.0)
+
+    def nl(self, uhat, t):
+        u = np.fft.irfft(uhat, n=self.grid.n_points)
+        r = np.fft.rfft(np.multiply(u, u, out=u))
+        return np.multiply(self.mult, r, out=r)
 
     def guard(self, t):
         return self.dt_guard
@@ -387,12 +371,8 @@ class _BbmbFlow:
     def spectra(self, t):
         return ()
 
-    def halved(self, t):
-        return _BbmbFlow(_half_grid(self.grid), self.p, self.dt_guard)
-
-
-def _half_grid(grid: GridSpec) -> GridSpec:
-    return GridSpec(grid.half_width, grid.n_points // 2)
+    def halved(self, grid, t):
+        return _BbmbFlow(grid, self.p, self.dt_guard, self.threshold)
 
 
 def _halved(flow, uhat, t):
@@ -404,26 +384,23 @@ def _halved(flow, uhat, t):
         spectra = itertools.chain((uhat,), flow.spectra(t))
         if any(_energy_fraction(s, beyond) > _LADDER_FLOOR for s in spectra):
             break
-        flow, uhat = flow.halved(t), _halve_spectrum(uhat)
+        half = GridSpec(flow.grid.half_width, flow.grid.n_points // 2)
+        flow, uhat = flow.halved(half, t), _halve_spectrum(uhat)
     return flow, uhat
 
 
-def _run_trajectory(flow, u0_values, t_samples, dt):
-    """Sample the flow at t_samples: fixed uniform steps on flow's grid when dt
-    is given, step doubling otherwise, each segment on the grid _halved leaves
-    and with the coarse step of the segment starting at t capped by
-    flow.guard(t)."""
-    grid = flow.grid
+def _run_trajectory(make_flow, u0: Field, t_samples, dt):
+    """Sample the flow make_flow(threshold) on u0's grid at t_samples: fixed
+    uniform steps on that grid when dt is given, step doubling otherwise, each
+    segment on the grid _halved leaves and with the coarse step of the segment
+    starting at t capped by flow.guard(t)."""
+    grid = u0.grid
     N = grid.n_points
-    u_vals = np.asarray(u0_values, dtype=np.float64)
+    u_vals = np.asarray(u0.values, dtype=np.float64)
     uhat = np.fft.rfft(u_vals)
     init = float(np.abs(uhat).max())
-    # the blow-up guard bounds the unnormalized spectrum, which scales with N
-    threshold = _BLOWUP_FACTOR * init / N if init > 0.0 else math.inf
-
-    def stepper(f):
-        return _Stepper(f.grid, f.linear, f.nl, threshold * f.grid.n_points)
-
+    # the sentinel bounds the unnormalized spectrum, which scales with N
+    flow = make_flow(_BLOWUP_FACTOR * init / N if init > 0.0 else math.inf)
     times, snaps, masses, fracs, stats = [], [], [], [], []
 
     def record(t, uhat, u, g):
@@ -447,14 +424,13 @@ def _run_trajectory(flow, u0_values, t_samples, dt):
     h = _H_START
     for t_next in ts:
         if dt is not None:
-            uhat, u_vals, seg = stepper(flow).fixed(uhat, t_prev, t_next, dt)
+            uhat, u_vals, seg = flow.fixed(uhat, t_prev, t_next, dt)
         else:
             start_peak = float(np.abs(u_vals).max())
             h_max = 0.5 * flow.guard(t_prev)
             flow, uhat = _halved(flow, uhat, t_prev)
-            uhat, u_vals, seg, h = stepper(flow).doubling(
-                uhat, t_prev, t_next, h, h_max, start_peak
-            )
+            uhat, u_vals, seg, h = flow.doubling(uhat, t_prev, t_next, h, h_max,
+                                                 start_peak)
         stats.append(seg)
         t_prev = t_next
         record(t_next, uhat, u_vals, flow.grid)
@@ -485,71 +461,59 @@ def integrate(
         raise ConfigError(
             f"||u0||_inf = {amp:.3g} exceeds the small-data cap {_MAX_AMPLITUDE}"
         )
-    dt_guard = _dt_max_bbmb(p, max(amp, 1e-12))
+    # the nonlinear multiplier |xi|/(1+xi^2) is bounded by 1/2
+    dt_guard = _NONLINEAR_STABILITY / max(0.5 * abs(p.beta) * max(amp, 1e-12), 1e-12)
     if dt is not None and (dt <= 0 or dt > dt_guard):
         raise ConfigError(f"dt={dt} outside the stability guard")
-    return _run_trajectory(_BbmbFlow(u0.grid, p, dt_guard), u0.values, ts, dt)
+    return _run_trajectory(lambda thr: _BbmbFlow(u0.grid, p, dt_guard, thr), u0, ts, dt)
 
 
 # ---------------------------------------------------------------------------
 # Linearized problems around the diffusion wave
 
-def _aux_nl(grid: GridSpec, p: ModelParams, profiles, seed=None):
-    """The convection and forcing stages of the linearized flows, and their
-    coefficients chi and the forcing spectrum by time.
+class _AuxFlow(_Flow):
+    """The linearized flow on one grid: the heat part, convection and forcing as
+    the stage, and the convection guard (xi chi is unbounded in xi) from rate =
+    |beta| sup|chi_star| xi_max, with xi_max of the full grid.
 
     profiles(x, t) returns chi and the forcing values (or None) at x and t.  A
     step's stage times are t, t + h/2, t + h, the last the next step's first; a
     coarse step runs after the first fine step it spans, at the fine times t,
     t + h, t + 2h.  So a cache of the three stage times last used, each holding
     chi and the forcing's spectrum dxi rfft(lam), evaluates both once per
-    distinct fine stage time.  seed, a (t, entry) pair, starts the cache.
-    """
-    conv = -p.beta * np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
-    dxi_full = 1j * grid.xi_half_odd
-    N = grid.n_points
-    x = grid.x
-    cache = dict([seed]) if seed is not None else {}
+    distinct fine stage time.  seed, a (t, entry) pair, starts the cache."""
 
-    def at(t):
-        entry = cache.pop(t, None)
+    def __init__(self, grid: GridSpec, p: ModelParams, profiles, rate: float,
+                 threshold: float, seed=None):
+        super().__init__(grid, p, threshold)
+        self.profiles = profiles
+        self.rate = rate
+        self.linear = -(grid.xi_half**2) + 0.0j
+        self.conv = -p.beta * np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
+        self.dxi = 1j * grid.xi_half_odd
+        self.cache = dict([seed]) if seed is not None else {}
+
+    def at(self, t):
+        entry = self.cache.pop(t, None)
         if entry is None:
-            if len(cache) == 3:
-                del cache[next(iter(cache))]
-            chi_t, lam_t = profiles(x, t)
-            forcing = None if lam_t is None else dxi_full * np.fft.rfft(lam_t)
+            if len(self.cache) == 3:
+                del self.cache[next(iter(self.cache))]
+            chi_t, lam_t = self.profiles(self.grid.x, t)
+            forcing = None if lam_t is None else self.dxi * np.fft.rfft(lam_t)
             entry = (chi_t, forcing)
-        cache[t] = entry
+        self.cache[t] = entry
         return entry
 
-    def nl(zhat, t):
-        chi_t, forcing = at(t)
-        u = np.fft.irfft(zhat, n=N)
+    def nl(self, zhat, t):
+        chi_t, forcing = self.at(t)
+        u = np.fft.irfft(zhat, n=self.grid.n_points)
         r = np.fft.rfft(np.multiply(chi_t, u, out=u))
-        r = np.multiply(conv, r, out=r)
+        r = np.multiply(self.conv, r, out=r)
         return r if forcing is None else np.add(r, forcing, out=r)
 
-    return nl, at
-
-
-class _AuxFlow:
-    """The linearized flow on one grid: the heat part, the _aux_nl stages and
-    the convection guard (xi chi is unbounded in xi), which keeps xi_max of the
-    full grid."""
-
-    def __init__(self, grid: GridSpec, p: ModelParams, profiles, xi_max: float,
-                 seed=None):
-        self.grid = grid
-        self.p = p
-        self.profiles = profiles
-        self.xi_max = xi_max
-        self.linear = -(grid.xi_half**2) + 0.0j
-        self.nl, self.at = _aux_nl(grid, p, profiles, seed)
-
     def guard(self, t):
-        chi_peak = float(np.abs(self.at(t)[0]).max())
-        rate = abs(self.p.beta) * chi_peak * self.xi_max
-        return _NONLINEAR_STABILITY / max(rate, 1e-12)
+        # sup|chi(., t)| = sup|chi_star| / sqrt(1 + t), whatever points sample it
+        return _NONLINEAR_STABILITY / max(self.rate / math.sqrt(1.0 + t), 1e-12)
 
     def spectra(self, t):
         chi_t, forcing = self.at(t)
@@ -557,17 +521,17 @@ class _AuxFlow:
         if forcing is not None:
             yield forcing
 
-    def halved(self, t):
+    def halved(self, grid, t):
         # the entry at t carried to the coarse x = x[::2], not evaluated again
         chi_t, forcing = self.at(t)
         forcing = None if forcing is None else _halve_spectrum(forcing)
         entry = (chi_t[::2].copy(), forcing)
-        return _AuxFlow(_half_grid(self.grid), self.p, self.profiles, self.xi_max,
+        return _AuxFlow(grid, self.p, self.profiles, self.rate, self.threshold,
                         (t, entry))
 
 
 class _WaveForcing:
-    """The dispersive forcing lam(t) = -gamma chi_xx(x, t) of solve_second_aux,
+    """The dispersive forcing lam(x, t) = -gamma chi_xx(x, t) of solve_second_aux,
     which solve_aux reads with chi from one chi_star evaluation per time."""
 
     def __init__(self, p: ModelParams):
@@ -587,17 +551,18 @@ def solve_aux(
     """Linear convection-diffusion around the wave: z_t + (beta chi z)_x - z_xx = lam_x.
 
     The heat part is exact per step; the convection term and the forcing are
-    advanced by the exponential stages.  lam is a callable t -> grid values of
-    the forcing, or None; on a coarse segment its values at the coarse x, the
-    full x[::2^k], are used.  chi (analytic) and lam are evaluated once per
-    distinct fine stage time of a trial (the coarse steps use fine stage times,
-    and the three last used are kept: 384 KB at N = 8192), so a segment of n
-    accepted steps without a rejected trial evaluates them at most 2 n + 1 times,
-    the ladder's test at the segment start included.
+    advanced by the exponential stages.  lam is a callable (x, t) -> values of
+    the forcing at the points x, or None; a coarse segment passes its coarse x,
+    the full x[::2^k].  chi (analytic) and lam are evaluated once per distinct
+    fine stage time of a trial (the coarse steps use fine stage times, and the
+    three last used are kept: 384 KB at N = 8192), so a segment of n accepted
+    steps without a rejected trial evaluates them at most 2 n + 1 times, the
+    ladder's test at the segment start included.
     Steps are chosen as in integrate, with the convection guard (xi chi is
-    unbounded in xi) as the cap.  The guard of each segment uses max|chi| at the
-    segment's start, which bounds chi over the whole segment because
-    sup|chi(., t)| is non-increasing in t; the cap thus grows like sqrt(1 + t).
+    unbounded in xi) as the cap.  The guard of each segment uses
+    sup|chi(., t)| = sup|chi_star| / sqrt(1 + t) at the segment's start, which
+    bounds chi over the whole segment on every grid because it is
+    non-increasing in t; the cap thus grows like sqrt(1 + t).
     """
     ts = _check_samples(z0.grid, t_samples)
     g = z0.grid
@@ -605,10 +570,9 @@ def solve_aux(
         profiles = lam.profiles
     else:
         def profiles(x, t):
-            if lam is None:
-                return chi(x, t, p), None
-            return chi(x, t, p), np.asarray(lam(t))[:: g.n_points // x.size]
-    return _run_trajectory(_AuxFlow(g, p, profiles, g.xi_half[-1]), z0.values, ts, None)
+            return chi(x, t, p), None if lam is None else np.asarray(lam(x, t))
+    rate = abs(p.beta) * chi_star_sup(p) * g.xi_half[-1]
+    return _run_trajectory(lambda thr: _AuxFlow(g, p, profiles, rate, thr), z0, ts, None)
 
 
 def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
@@ -616,7 +580,7 @@ def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
     v_t + (beta chi v)_x - v_xx = -gamma chi_xxx, v(0) = 0.
 
     Each stage time's chi and forcing -gamma chi_xx come from one chi_star
-    evaluation, bit-identical to solve_aux with lam(t) = -gamma chi_xx(x, t).
+    evaluation, bit-identical to solve_aux with lam(x, t) = -gamma chi_xx(x, t).
     """
     if abs(p.mass) > 1.0:
         raise ConfigError("|mass| <= 1 required by the wave decay estimates")

@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Criteria 1-4 run the built-in verification suites; 5-7 run the production
-scenarios (L = 400, N = 16384) and check the fitted rates; 8 checks byte
+scenarios (L = 400, N = 16384) through run_experiment, the production route,
+and check the fitted rates; 8 checks byte
 reproducibility of a bundle.  One PASS/FAIL line is printed per criterion
 item (run with -s or -rA to see them).
 """
@@ -14,9 +15,7 @@ import pytest
 
 from bbmburgers import checks
 from bbmburgers import harness as hn
-from bbmburgers import profiles as pr
-from bbmburgers import solver as sv
-from bbmburgers.asymptotics import error_series_multi, fit_rate, theil_sen_slope
+from bbmburgers.asymptotics import fit_rate, theil_sen_slope
 
 WINDOW = (20.0, 1000.0)
 
@@ -50,41 +49,39 @@ def test_criteria_1_to_4_builtin_suites(suite):
 
 
 # ---------------------------------------------------------------------------
-# Production scenarios (shared across criteria 5-7)
+# Production scenarios (shared across criteria 5-7), run by the production route
 
-def _run_scenario(scenario, combos, orders=(0, 1)):
-    u0 = hn.make_initial_data(scenario)
-    p = scenario.params
-    assert np.abs(u0.values).max() <= 0.5  # small-amplitude hypothesis
-    det = pr.extract_c_alpha_detailed(pr.r0_eval(u0, p), p)
-    ps = pr.constants(p, c_alpha=(det["c_plus"], det["c_minus"]))
-    traj = sv.integrate(u0, p, scenario.samples())
-    series = error_series_multi(traj, ps, combos, orders=orders, norms=("linf",))
-    return {"traj": traj, "ps": ps, "series": series, "scenario": scenario}
+def _run_scenario(scenario):
+    res = hn.run_experiment(scenario, out_root=None)
+    assert res["report"]["initial_data"]["norm_linf"] <= 0.5  # small-amplitude hypothesis
+    return {"traj": res["trajectory"], "ps": res["profile_set"], "series": res["series"]}
 
 
 @pytest.fixture(scope="module")
 def alpha15_bundle():
     s = hn.Scenario(name="alpha15-main", beta=1.0, gamma=1.0, alpha=1.5, mass=0.3,
                     data_kind="prescribed_r0", c_plus=1.0, c_minus=-1.0,
-                    t_samples=list(np.geomspace(1.0, 1000.0, 33)))
-    return _run_scenario(s, ["chi", "chi+Z"])
+                    t_samples=list(np.geomspace(1.0, 1000.0, 33)),
+                    derivative_orders=[0, 1])
+    return _run_scenario(s)
 
 
 @pytest.fixture(scope="module")
 def alpha3_bundle():
     s = hn.Scenario(name="alpha3-fast-tail", beta=1.0, gamma=1.0, alpha=3.0,
                     mass=0.3, data_kind="power_tail", amplitude=0.1,
-                    t_samples=list(np.geomspace(1.0, 1000.0, 33)))
-    return _run_scenario(s, ["chi", "chi+V"])
+                    t_samples=list(np.geomspace(1.0, 1000.0, 33)),
+                    derivative_orders=[0, 1])
+    return _run_scenario(s)
 
 
 @pytest.fixture(scope="module")
 def alpha2_bundle():
     s = hn.Scenario(name="alpha2-critical", beta=1.0, gamma=1.0, alpha=2.0,
                     mass=0.3, data_kind="prescribed_r0", c_plus=1.0, c_minus=1.0,
-                    t_samples=list(np.geomspace(1.0, 1000.0, 33)))
-    return _run_scenario(s, ["chi", "chi+Z+V"])
+                    t_samples=list(np.geomspace(1.0, 1000.0, 33)),
+                    derivative_orders=[0, 1])
+    return _run_scenario(s)
 
 
 # ---------------------------------------------------------------------------

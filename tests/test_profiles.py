@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate as spi
 
-from bbmburgers import ConfigError, Field, MassMismatchError, ModelParams, make_grid
+from bbmburgers import (ConfigError, Field, MassMismatchError, ModelParams, NumericsError,
+                        make_grid)
 from bbmburgers import profiles as pr
 from bbmburgers.core import lp_norm, tail_taper, tail_taper_deriv
 
@@ -35,6 +36,22 @@ class TestChiStar:
         assert np.abs(pr.chi_star_deriv(x, P) - fd1).max() < 1e-9
         fd2 = (pr.chi_star_deriv(x + h, P) - pr.chi_star_deriv(x - h, P)) / (2 * h)
         assert np.abs(pr.chi_star_deriv2(x, P) - fd2).max() < 1e-9
+
+    @pytest.mark.parametrize("beta, mass", [(1.0, 0.5), (-1.0, 0.5), (1.0, -0.5),
+                                            (0.9, 0.4), (0.0, 0.3), (2.0, 1.0),
+                                            (1.0, 3.0)])
+    def test_sup_matches_dense_grid(self, beta, mass):
+        # the dense grid samples the extremum to within (5e-6)^2 |chi_star''|
+        p = ModelParams(beta, 1.0, 1.5, mass)
+        dense = np.abs(pr.chi_star(np.linspace(-5.0, 5.0, 2_000_001), p)).max()
+        sup = pr.chi_star_sup(p)
+        assert dense <= sup * (1.0 + 1e-15)
+        assert sup - dense <= 1e-11 * sup
+
+    def test_sup_iteration_not_converged_raises(self, monkeypatch):
+        monkeypatch.setattr(pr, "_SUP_ITERATIONS", 1)
+        with pytest.raises(NumericsError, match="did not converge"):
+            pr.chi_star_sup(P)
 
 
 class TestChi:

@@ -19,8 +19,8 @@ def gaussian_data(grid, amp=0.3):
 def nonlinear_term(u, p):
     """The integrator's nonlinear term -(beta/2) d_x (1 - d_xx)^{-1} (u^2) at u."""
     g = u.grid
-    nl = sv._bbmb_nl(g, p)
-    return np.fft.irfft(nl(np.fft.rfft(u.values), 0.0), n=g.n_points)
+    flow = sv._BbmbFlow(g, p, math.inf, math.inf)
+    return np.fft.irfft(flow.nl(np.fft.rfft(u.values), 0.0), n=g.n_points)
 
 
 class TestRhsNonlinear:
@@ -173,8 +173,8 @@ class TestSolveAux:
     def test_forcing_mass_neutral(self, grid60):
         z0 = Field(grid60, np.zeros(grid60.n_points))
 
-        def lam(t):
-            return 0.05 * np.exp(-grid60.x**2 / 2.0) / (1.0 + t)
+        def lam(x, t):
+            return 0.05 * np.exp(-x**2 / 2.0) / (1.0 + t)
 
         traj = sv.solve_aux(z0, lam, P, [1.0, 3.0])
         assert np.abs(traj.mass_log).max() < 1e-12
@@ -182,24 +182,24 @@ class TestSolveAux:
     def test_forcing_evaluated_once_per_stage_time(self, grid60, monkeypatch):
         # a step's four stages share three times, the last one with the next step,
         # and every coarse stage time is a fine one: 2 n + 1 distinct times for n
-        # fine steps, the convection guard's lookup at the segment start included.
+        # fine steps, the ladder's lookup at the segment start included.
         # Count the forcing calls up to the end of each segment's doubling (a
         # rejected trial re-marches, so only segments without one are bounded)
         z0 = Field(grid60, np.zeros(grid60.n_points))
         calls, ends = [], []
 
-        def lam(t):
+        def lam(x, t):
             calls.append(t)
-            return 0.05 * np.exp(-grid60.x**2 / 2.0) / (1.0 + t)
+            return 0.05 * np.exp(-x**2 / 2.0) / (1.0 + t)
 
-        real = sv._Stepper.doubling
+        real = sv._Flow.doubling
 
         def doubling(self, *args):
             out = real(self, *args)
             ends.append(len(calls))
             return out
 
-        monkeypatch.setattr(sv._Stepper, "doubling", doubling)
+        monkeypatch.setattr(sv._Flow, "doubling", doubling)
         traj = sv.solve_aux(z0, lam, P, [1.0, 2.0, 4.0])
         per_segment = np.diff([0] + ends)
         assert len(per_segment) == len(traj.step_stats)
@@ -227,8 +227,8 @@ class TestSolveSecondAux:
         p = ModelParams(beta, 1.0, 3.0, 0.5)
         z0 = Field(grid60, np.zeros(grid60.n_points))
 
-        def lam(t):
-            return -p.gamma * pr.chi_xx(grid60.x, t, p)
+        def lam(x, t):
+            return -p.gamma * pr.chi_xx(x, t, p)
 
         ref = sv.solve_aux(z0, lam, p, [1.0, 4.0])
         traj = sv.solve_second_aux(p, grid60, [1.0, 4.0])
@@ -255,6 +255,26 @@ class TestSolveSecondAux:
         assert 2.0 * last.dt > guard(0.0)
         for seg in traj.step_stats:
             assert 2.0 * seg.dt <= guard(seg.t_start) * (1 + 1e-12)
+
+    def test_halved_flow_keeps_the_guard(self, grid60, monkeypatch):
+        # a coarse grid samples chi up to 5e-4 below its peak; the cap of every
+        # segment, on whatever grid, is the full-grid one from sup|chi| itself
+        p = ModelParams(1.0, 1.0, 3.0, 0.5)
+        seen = []
+        real = sv._Flow.doubling
+
+        def doubling(self, uhat, t0, *args):
+            seen.append((self.grid.n_points, t0, self.guard(t0)))
+            return real(self, uhat, t0, *args)
+
+        monkeypatch.setattr(sv._Flow, "doubling", doubling)
+        sv.solve_second_aux(p, grid60, [1.0, 4.0, 16.0])
+        assert any(n < grid60.n_points for n, _, _ in seen)
+        peak = np.abs(pr.chi_star(np.linspace(-5.0, 5.0, 2_000_001), p)).max()
+        xi_max = grid60.xi_half[-1]
+        for _, t, guard in seen:
+            full = sv._NONLINEAR_STABILITY * math.sqrt(1.0 + t) / (p.beta * peak * xi_max)
+            assert guard == pytest.approx(full, rel=1e-10)
 
     @pytest.mark.slow
     def test_tracks_log_profile(self, second_aux_bundle):
@@ -356,7 +376,7 @@ class TestLockstepTrial:
     @pytest.mark.parametrize("kind", ["bbm", "heat"])
     def test_tableau_pair_equals_separate_tableaux(self, grid60, kind, monkeypatch):
         if kind == "bbm":
-            lin, dt = sv._bbmb_linear(grid60, P.gamma), 0.05
+            lin, dt = sv._BbmbFlow(grid60, P, math.inf, math.inf).linear, 0.05
         else:
             lin, dt = -grid60.xi_half**2 + 0j, 1e-4
         for z in (dt * lin, 2.0 * dt * lin):
@@ -381,29 +401,25 @@ class TestLockstepTrial:
                 assert same_bits(getattr(pair, name), getattr(ref, name)), name
 
     def test_integrate_trial_equals_separate_marches(self, grid60):
-        lin = sv._bbmb_linear(grid60, P.gamma)
-        nl = sv._bbmb_nl(grid60, P)
-        stepper = sv._Stepper(grid60, lin, nl, math.inf)
+        flow = sv._BbmbFlow(grid60, P, math.inf, math.inf)
         uhat = np.fft.rfft(gaussian_data(grid60).values)
-        fine, coarse = sv._tableaux(lin, 0.05, True)
-        fine_hat, coarse_hat, _ = stepper.march(uhat, 0.3, 10, fine, coarse)
-        assert same_bits(fine_hat, seed_march(uhat, 0.3, 10, fine, nl))
-        assert same_bits(coarse_hat, seed_march(uhat, 0.3, 5, coarse, nl))
+        fine, coarse = sv._tableaux(flow.linear, 0.05, True)
+        fine_hat, coarse_hat = flow.march(uhat, 0.3, 10, fine, coarse)
+        assert same_bits(fine_hat, seed_march(uhat, 0.3, 10, fine, flow.nl))
+        assert same_bits(coarse_hat, seed_march(uhat, 0.3, 5, coarse, flow.nl))
         # the fixed-dt route marches the same fine chain
-        assert same_bits(stepper.march(uhat, 0.3, 10, fine, None)[0], fine_hat)
+        assert same_bits(flow.march(uhat, 0.3, 10, fine, None)[0], fine_hat)
 
     def test_solve_aux_trial_equals_separate_marches(self, grid60):
         # the coarse stage times are the fine march's accumulated times, which
         # may differ from the coarse march's own by an ulp
         p = ModelParams(1.0, 1.0, 3.0, 0.5)
-        lin = -grid60.xi_half**2 + 0j
-        nl, _ = sv._aux_nl(grid60, p, sv._WaveForcing(p).profiles)
-        stepper = sv._Stepper(grid60, lin, nl, math.inf)
+        flow = sv._AuxFlow(grid60, p, sv._WaveForcing(p).profiles, 0.0, math.inf)
         uhat = np.fft.rfft(0.01 * grid60.x * np.exp(-grid60.x**2 / 4.0))
-        fine, coarse = sv._tableaux(lin, 0.03, True)
-        fine_hat, coarse_hat, _ = stepper.march(uhat, 1.1, 14, fine, coarse)
-        assert same_bits(fine_hat, seed_march(uhat, 1.1, 14, fine, nl))
-        ref = seed_march(uhat, 1.1, 7, coarse, nl)
+        fine, coarse = sv._tableaux(flow.linear, 0.03, True)
+        fine_hat, coarse_hat = flow.march(uhat, 1.1, 14, fine, coarse)
+        assert same_bits(fine_hat, seed_march(uhat, 1.1, 14, fine, flow.nl))
+        ref = seed_march(uhat, 1.1, 7, coarse, flow.nl)
         assert np.abs(coarse_hat - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -493,9 +509,9 @@ class TestTransformLadder:
         p = ModelParams(1.0, 1.0, 3.0, 0.5)
         calls = []
 
-        def lam(t):
+        def lam(x, t):
             calls.append(t)
-            return -p.gamma * pr.chi_xx(grid60.x, t, p)
+            return -p.gamma * pr.chi_xx(x, t, p)
 
         z0 = Field(grid60, np.zeros(grid60.n_points))
         samples = np.geomspace(1.0, 8.0, 6)
