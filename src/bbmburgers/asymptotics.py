@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import MEASUREMENT_FRACTION
+from .core import MEASUREMENT_FRACTION, measurement_mask
 from .errors import ConfigError, HypothesisViolationError
 from .profiles import ProfileSet, V, Z_eval, chi
 from .solver import Trajectory
@@ -93,14 +93,14 @@ def error_series_multi(
 
     Profile fields are evaluated once per snapshot and shared across the
     requested combinations; V and Z only when a combination holds them.
-    Norms are taken over the measurement window |x| <= 0.8 L, outside of
-    which the tail taper makes the box solution diverge from the whole-line
-    profiles by construction.  Returns {(combo, order, norm): ErrorSeries}.
+    Norms are taken over core.measurement_mask, outside of which the tail
+    taper makes the box solution diverge from the whole-line profiles by
+    construction.  Returns {(combo, order, norm): ErrorSeries}.
     """
     p = traj.params
     grid = traj.grid
     x = grid.x
-    mask = np.abs(x) <= MEASUREMENT_FRACTION * grid.half_width
+    mask = measurement_mask(grid)
     unknown = [c for c in combos if c not in COMBOS]
     if unknown:
         raise ConfigError(f"unknown profile combinations {unknown}; use {COMBOS}")
@@ -195,13 +195,9 @@ def fit_rate(es: ErrorSeries, window, log_power: int = 0) -> RateFit:
     )
 
 
-def window_stability(es: ErrorSeries, window, log_power: int = 0) -> float:
-    """Exponent change when the window is shrunk by 10% (in log t) at both ends."""
-    return _stability_of_fit(es, fit_rate(es, window, log_power))
-
-
-def _stability_of_fit(es: ErrorSeries, full: RateFit) -> float:
-    """window_stability of the full-window fit `full` of es, which it does not refit."""
+def window_stability(es: ErrorSeries, full: RateFit) -> float:
+    """Exponent change of the fit `full` of es when its window is shrunk by 10%
+    (in log t) at both ends; only the shrunk window is fitted."""
     a = math.log1p(full.window[0])
     b = math.log1p(full.window[1])
     pad = 0.1 * (b - a)
@@ -219,10 +215,9 @@ class RateClaim:
     in the norm it was made for (see rate_claim), judged after scaling the
     error by its inverse.  The kind owns the test:
 
-    band        two-sided: scaled ratio max/min <= 10, |Theil-Sen slope| <= 0.1
-    improves    the refinement decays faster: slope <= -0.05
-    bounded     the scaled error does not grow: slope <= 0.05
-    diagnostic  fitted and reported, never judged
+    band      two-sided: scaled ratio max/min <= 10, |Theil-Sen slope| <= 0.1
+    improves  the refinement decays faster: slope <= -0.05
+    bounded   the scaled error does not grow: slope <= 0.05
     """
 
     exponent: float
@@ -248,7 +243,7 @@ class RateClaim:
             return {"slope_ok": slope <= -0.05}
         if self.kind == "bounded":
             return {"slope_ok": slope <= 0.05, "bounded": slope <= 0.05}
-        return {}
+        raise ConfigError(f"unknown claim kind '{self.kind}'")
 
 
 def _tail_rate(alpha):
@@ -265,8 +260,6 @@ RATE_CLAIMS = {
     ("alpha_lt_2", "chi"): (_tail_rate, 0, "band"),
     ("alpha_lt_2", "chi+Z"): (_tail_rate, 0, "improves"),
     ("alpha_eq_2", "chi"): (_diffusive_rate, 1, "band"),
-    ("alpha_eq_2", "chi+Z"): (_diffusive_rate, 1, "diagnostic"),
-    ("alpha_eq_2", "chi+V"): (_diffusive_rate, 1, "diagnostic"),
     ("alpha_eq_2", "chi+Z+V"): (_diffusive_rate, 1, "improves"),
     ("alpha_gt_2", "chi"): (_diffusive_rate, 1, "band"),
     ("alpha_gt_2", "chi+V"): (_diffusive_rate, 0, "bounded"),
@@ -344,7 +337,7 @@ def _scaled_entry(es: ErrorSeries, window, claim: RateClaim) -> dict:
 def optimal_rate_report(
     traj: Trajectory, ps: ProfileSet, window=None, l: int = 0
 ) -> dict:
-    """Decide the judged RATE_CLAIMS of one trajectory and derivative order.
+    """Decide the RATE_CLAIMS of one trajectory and derivative order.
 
     The branch's first-profile error (kind band) and its refinement (kind
     improves or bounded) are scaled by their claimed laws and judged by
@@ -376,10 +369,9 @@ def optimal_rate_report(
     }
 
     claims = {combo: rate_claim(alpha, combo, l) for combo in claimed_combos(alpha)}
-    judged = {combo: c for combo, c in claims.items() if c.kind != "diagnostic"}
-    series = error_series_multi(traj, ps, list(judged), orders=(l,), norms=("linf",))
+    series = error_series_multi(traj, ps, list(claims), orders=(l,), norms=("linf",))
     log_applicable = ps.kappa != 0.0 and ps.mu1 != 0.0
-    for combo, claim in judged.items():
+    for combo, claim in claims.items():
         key = "band" if claim.kind == "band" else "refinement"
         if claim.kind == "band" and claim.log_power and not log_applicable:
             report[key] = {

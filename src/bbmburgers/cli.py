@@ -20,7 +20,7 @@ from . import checks
 from . import profiles as pr
 from .core import Field, make_grid
 from .errors import ConfigError, InstabilityError, NumericsError
-from .harness import _write_csv, run_experiment, scenario_from_json
+from .harness import run_experiment, scenario_from_json, write_csv
 from .profiles import ModelParams
 from .solver import Trajectory
 
@@ -47,7 +47,7 @@ def _cmd_profiles(args) -> int:
         if args.z_time is not None:
             cols.append(pr.Z_eval(x, args.z_time, p, ps))
             header += f",Z_t{args.z_time:g}"
-        _write_csv(args.table_out, header, cols)
+        write_csv(args.table_out, header, cols)
         print(f"wrote {args.table_out}")
     return 0
 

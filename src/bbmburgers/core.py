@@ -12,16 +12,18 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, MassMismatchError, NumericsError
 
 __all__ = [
     "GridSpec",
     "Field",
     "MEASUREMENT_FRACTION",
+    "measurement_mask",
     "make_grid",
     "half_spectrum_energy",
     "lp_norm",
     "cumulative_trapezoid",
+    "zero_mass_primitive",
     "smoothstep",
     "smoothstep_deriv",
     "tail_taper",
@@ -109,16 +111,6 @@ class GridSpec:
         xi = self.xi_half_odd if l % 2 else self.xi_half
         return np.fft.irfft((1j * xi) ** l * np.fft.rfft(values), n=self.n_points)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GridSpec)
-            and self.half_width == other.half_width
-            and self.n_points == other.n_points
-        )
-
-    def __hash__(self):
-        return hash((self.half_width, self.n_points))
-
     def __repr__(self):
         return f"GridSpec(L={self.half_width}, N={self.n_points})"
 
@@ -126,6 +118,11 @@ class GridSpec:
 def make_grid(L: float, N: int) -> GridSpec:
     """Build a GridSpec, rejecting non-power-of-two N and nonpositive L."""
     return GridSpec(L, N)
+
+
+def measurement_mask(grid: GridSpec):
+    """The measurement window |x| <= MEASUREMENT_FRACTION * L, as a mask of grid.x."""
+    return np.abs(grid.x) <= MEASUREMENT_FRACTION * grid.half_width
 
 
 class Field:
@@ -182,6 +179,16 @@ def cumulative_trapezoid(y, dx: float):
     initial=0), so the two agree bit for bit.
     """
     return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+
+def zero_mass_primitive(y, dx: float, what: str):
+    """cumulative_trapezoid of y, which must integrate to 0 so the primitive decays:
+    MassMismatchError, naming what y is, when |dx sum y| > 1e-6 max(1, dx sum|y|)."""
+    total = dx * y.sum()
+    scale = max(1.0, dx * np.abs(y).sum())
+    if abs(total) > 1e-6 * scale:
+        raise MassMismatchError(f"integral of {what} is {total:.3e}, expected 0")
+    return cumulative_trapezoid(y, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import asymptotics as asy
-from .core import MEASUREMENT_FRACTION, Field, GridSpec, lp_norm, make_grid, \
-    smoothstep, smoothstep_deriv, tail_taper, tail_taper_deriv
+from .core import Field, GridSpec, lp_norm, make_grid, measurement_mask, smoothstep, \
+    smoothstep_deriv, tail_taper, tail_taper_deriv
 from .errors import ConfigError, HypothesisViolationError
 from .profiles import (
     ModelParams,
@@ -36,6 +36,7 @@ __all__ = [
     "default_t_samples",
     "make_initial_data",
     "run_experiment",
+    "write_csv",
 ]
 
 _DATA_KINDS = ("gaussian", "power_tail", "prescribed_r0", "custom_table")
@@ -83,7 +84,7 @@ class Scenario:
     def samples(self) -> np.ndarray:
         if self.t_samples is not None:
             return np.asarray(self.t_samples, dtype=np.float64)
-        return default_t_samples(self.L)
+        return default_t_samples(self.grid)
 
     def canonical_json(self) -> str:
         doc = {k: getattr(self, k) for k in _CONFIG_KEYS}
@@ -116,9 +117,9 @@ def scenario_from_json(doc) -> Scenario:
     return Scenario(**doc)
 
 
-def default_t_samples(L: float) -> np.ndarray:
-    """32 geometric sample times from 1 to the validity horizon (L/8)^2."""
-    return np.geomspace(1.0, (L / 8.0) ** 2, 32)
+def default_t_samples(grid: GridSpec) -> np.ndarray:
+    """32 geometric sample times from 1 to the grid's validity horizon."""
+    return np.geomspace(1.0, validity_horizon(grid), 32)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,8 @@ def make_initial_data(s: Scenario) -> Field:
     p = s.params
     x = grid.x
     dx = grid.dx
+    if s.data_kind in ("power_tail", "prescribed_r0") and 0.5 * s.L < 2.0 * _TAIL_ONSET:
+        raise ConfigError(f"L={s.L} too small to resolve the {s.data_kind} tail")
 
     if s.data_kind == "gaussian":
         base = s.amplitude * np.exp(-(x**2) / 4.0)
@@ -156,8 +159,6 @@ def make_initial_data(s: Scenario) -> Field:
         return Field(grid, base * (s.mass / m))
 
     if s.data_kind == "power_tail":
-        if 0.5 * s.L < 2.0 * _TAIL_ONSET:
-            raise ConfigError(f"L={s.L} too small to resolve the power tail")
         taper = tail_taper(grid)
         # smooth even bump with (1 + |x|)^{-alpha}-class tails; the solution
         # must be spectrally resolvable, which rules out a kink at the origin
@@ -169,8 +170,6 @@ def make_initial_data(s: Scenario) -> Field:
         return Field(grid, u0)
 
     if s.data_kind == "prescribed_r0":
-        if 0.5 * s.L < 2.0 * _TAIL_ONSET:
-            raise ConfigError(f"L={s.L} too small for the prescribed-tail window")
         rho, drho = _power_ramp(x, s.c_plus, s.c_minus, s.alpha)
         taper = tail_taper(grid)
         dtaper = tail_taper_deriv(grid)
@@ -201,7 +200,7 @@ def data_report(s: Scenario, u0: Field) -> dict:
     grid = u0.grid
     x = grid.x
     mass = u0.mass()
-    untapered = np.abs(x) <= MEASUREMENT_FRACTION * grid.half_width
+    untapered = measurement_mask(grid)
     weight = (1.0 + np.abs(x[untapered])) ** s.alpha
     C_tail = float((np.abs(u0.values[untapered]) * weight).max())
     du = grid.deriv(u0.values, 1)
@@ -231,19 +230,14 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     dropped when both tail constants c_alpha are zero.
 
     Returns a dict with the report, the trajectory and the error series.
-    Raises ConfigError for invalid scenarios (samples beyond the validity window,
-    or none positive, which leaves no fit window) and propagates solver errors
-    with the failing stage named.
+    Raises ConfigError for invalid scenarios (no positive sample, which leaves
+    no fit window, up front; samples beyond the validity window from integrate)
+    and propagates solver errors with the failing stage named.
     """
     grid = s.grid
     p = s.params
     t_samples = s.samples()
     window = asy.default_window(t_samples)
-    if t_samples[-1] > validity_horizon(grid):
-        raise ConfigError(
-            f"scenario samples reach t={t_samples[-1]:.4g}, beyond the validity "
-            f"window {validity_horizon(grid):.4g}"
-        )
 
     u0 = make_initial_data(s)
     dreport = data_report(s, u0)
@@ -286,7 +280,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
         if claim.kind == "band":
             entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
         try:
-            stability = asy._stability_of_fit(es, fit)
+            stability = asy.window_stability(es, fit)
             entry.update(window_stability=stability, resolved=stability < 0.05)
         except ConfigError as exc:
             # the shrunk window is too short to refit; the full-window fit stands
@@ -351,7 +345,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
             scale = asy.rate_claim(s.alpha, combo, l, nm).scale(es.times)
             fname = f"{combo.replace('+', '_')}_{nm}_l{l}.csv"
             fpath = os.path.join(bundle_dir, "series", fname)
-            _write_csv(fpath, "t,value,scaled_value",
+            write_csv(fpath, "t,value,scaled_value",
                        (es.times, es.values, es.values * scale))
             paths[fname] = fpath
         # the bytes of np.save(np.stack(...)), streamed row by row: no stacked copy
@@ -374,7 +368,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     }
 
 
-def _write_csv(path: str, header: str, columns):
+def write_csv(path: str, header: str, columns):
     """Write float64 columns as one CSV.  Every cell is the shortest round-trip
     repr of its float, so the file reloads exactly and reruns are byte-identical."""
     rows = zip(*(map(repr, c.tolist()) for c in columns))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc
 
-from .core import Field, GridSpec, cumulative_trapezoid
-from .errors import ConfigError, MassMismatchError, NumericsError
+from .core import Field, GridSpec, zero_mass_primitive
+from .errors import ConfigError, NumericsError
 
 __all__ = [
     "ModelParams",
@@ -490,18 +490,12 @@ def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: i
 def r0_eval(u0: Field, p: ModelParams) -> Field:
     """Weighted primitive of the deviation from the diffusion wave.
 
-    Requires the mass of u0 to match p.mass (so the primitive decays);
-    the primitive is anchored at the left box edge.
+    Requires the mass of u0 to match p.mass (so the primitive decays,
+    core.zero_mass_primitive); the primitive is anchored at the left box edge.
     """
     x = u0.grid.x
-    dev = u0.values - chi_star(x, p)
-    total = u0.grid.dx * dev.sum()
-    scale = max(1.0, u0.grid.dx * np.abs(dev).sum())
-    if abs(total) > 1e-6 * scale:
-        raise MassMismatchError(
-            f"integral of u0 - chi_star is {total:.3e}, expected 0 (mass mismatch)"
-        )
-    prim = cumulative_trapezoid(dev, u0.grid.dx)
+    prim = zero_mass_primitive(u0.values - chi_star(x, p), u0.grid.dx,
+                               "u0 - chi_star (mass mismatch)")
     return Field(u0.grid, prim / eta_star(x, p))
 
 

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .core import Field, cumulative_trapezoid, half_spectrum_energy
-from .errors import ConfigError, MassMismatchError, NumericsError
+from .core import Field, half_spectrum_energy, zero_mass_primitive
+from .errors import ConfigError, NumericsError
 from .profiles import ModelParams, dx_eta_heat, eta, panel_gauss_nodes
 
 __all__ = [
@@ -131,7 +131,7 @@ def helmholtz_inv_direct(f: Field, x_eval):
 def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     """Linearized convection-diffusion flow applied to h from time tau to t.
 
-    The primitive of h is taken by cumulative trapezoid from the left box
+    The primitive of h is core.zero_mass_primitive, anchored at the left box
     edge (where the integrand is negligible for mass-zero data), weighted by
     eta^{-1} at time tau, and integrated against the closed-form kernel
     d/dx[G(x - y, t - tau) eta(x, t)] by panel Gauss-Legendre quadrature
@@ -143,14 +143,7 @@ def U_apply(h: Field, t: float, tau: float, p: ModelParams) -> Field:
     if not (t > tau >= 0.0):
         raise ConfigError("U requires t > tau >= 0")
     g = h.grid
-    total = g.dx * h.values.sum()
-    scale = max(1.0, g.dx * np.abs(h.values).sum())
-    if abs(total) > 1e-6 * scale:
-        raise MassMismatchError(
-            f"integral of h is {total:.3e}, expected 0 for a decaying primitive"
-        )
-    prim = cumulative_trapezoid(h.values, g.dx)
-    w_grid = prim / eta(g.x, tau, p)
+    w_grid = zero_mass_primitive(h.values, g.dx, "h") / eta(g.x, tau, p)
     spline = CubicSpline(g.x, w_grid)
 
     dt = t - tau

@@ -4,7 +4,7 @@ import pytest
 from bbmburgers import Field, InstabilityError, ModelParams, make_grid
 from bbmburgers import profiles as pr
 from bbmburgers import solver as sv
-from bbmburgers.core import MEASUREMENT_FRACTION
+from bbmburgers.core import measurement_mask
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def second_aux_bundle():
     times = np.geomspace(1.0, 400.0, 21)
     traj = sv.solve_second_aux(p, grid, times)
     ps = pr.constants(p)
-    mask = np.abs(grid.x) <= MEASUREMENT_FRACTION * grid.half_width
+    mask = measurement_mask(grid)
     gaps = {0: [], 1: []}
     full_gap = []
     for t, snap in zip(traj.times, traj.snapshots):

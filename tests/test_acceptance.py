@@ -196,7 +196,7 @@ def test_rate_ordering_and_window_stability(alpha15_bundle):
                   f"({f_z.exponent:+.3f} vs {f_chi.exponent:+.3f})")
 
     from bbmburgers.asymptotics import window_stability
-    delta = window_stability(alpha15_bundle["series"][("chi", 0, "linf")], WINDOW)
+    delta = window_stability(alpha15_bundle["series"][("chi", 0, "linf")], f_chi)
     ok &= _report("property: 10% window shrink moves exponent < 0.05",
                   delta < 0.05, f"(delta {delta:.4f})")
     assert ok

@@ -124,7 +124,7 @@ class TestFitRate:
     def test_window_stability_on_clean_data(self):
         t = np.geomspace(1.0, 1000.0, 33)
         es = self._series(5.0 * (1.0 + t) ** -0.5, t)
-        assert asy.window_stability(es, (1.0, 1000.0)) < 1e-10
+        assert asy.window_stability(es, asy.fit_rate(es, (1.0, 1000.0))) < 1e-10
 
 
 class TestTheilSen:
@@ -166,7 +166,8 @@ class TestRateClaims:
         assert asy.RateClaim(-1.0, 1, "improves").judge(1.0, -0.04) == {"slope_ok": False}
         assert asy.RateClaim(-1.0, 0, "bounded").judge(1.0, 0.05) == {
             "slope_ok": True, "bounded": True}
-        assert asy.RateClaim(-1.0, 1, "diagnostic").judge(1e3, 1.0) == {}
+        with pytest.raises(ConfigError, match="unknown claim kind"):
+            asy.RateClaim(-1.0, 1, "diagnostic").judge(1e3, 1.0)
 
 
 class TestOptimalRateReport:

@@ -233,6 +233,41 @@ class TestSpectralLayer:
         assert not offenders, offenders
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _foreign_private_uses(tree) -> list:
+    """`from .m import _x` and `m._x`, for m a module of the package: the uses of
+    another module's private names in one module's syntax tree."""
+    modules, hits = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("bbmburgers")):
+            for alias in node.names:
+                if node.module in (None, "bbmburgers"):  # binds a module
+                    modules.add(alias.asname or alias.name)
+                elif _is_private(alias.name):
+                    hits.append((node.lineno, f"{node.module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.asname and a.name.startswith("bbmburgers."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            hits.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return hits
+
+
+class TestModuleBoundaries:
+    def test_no_module_reaches_into_another_modules_private_names(self):
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            offenders += [f"{path.name}:{line} {name}"
+                          for line, name in _foreign_private_uses(ast.parse(path.read_text()))]
+        assert not offenders, offenders
+
+
 class _OuterDifferenceFinder(ast.NodeVisitor):
     """Records the functions that call `np.subtract.outer`."""
 

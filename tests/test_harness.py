@@ -11,6 +11,7 @@ from bbmburgers import asymptotics as asy
 from bbmburgers import checks, cli
 from bbmburgers import harness as hn
 from bbmburgers import profiles as pr
+from bbmburgers import solver as sv
 
 
 def tiny_scenario(**overrides):
@@ -60,10 +61,14 @@ class TestScenario:
             tiny_scenario(data_kind="nonsense")
 
     def test_default_samples_span_validity_window(self):
-        ts = hn.default_t_samples(400.0)
+        ts = hn.default_t_samples(make_grid(400.0, 16384))
         assert ts.size == 32
         assert ts[0] == 1.0
         assert abs(ts[-1] - 2500.0) < 1e-9
+        # a scenario without t_samples takes them, up to its own horizon
+        s = tiny_scenario(t_samples=None)
+        assert np.array_equal(s.samples(), hn.default_t_samples(s.grid))
+        assert s.samples()[-1] == sv.validity_horizon(s.grid) == (80.0 / 8.0) ** 2
 
 
 class TestMakeInitialData:
@@ -122,9 +127,11 @@ class TestMakeInitialData:
             hn.make_initial_data(s)
 
     def test_tail_needs_room(self):
-        s = tiny_scenario(data_kind="power_tail", amplitude=0.1, L=30.0, N=512)
-        with pytest.raises(ConfigError):
-            hn.make_initial_data(s)
+        for kind in ("power_tail", "prescribed_r0"):
+            s = tiny_scenario(data_kind=kind, amplitude=0.1, c_plus=1.0, c_minus=-1.0,
+                              L=30.0, N=512)
+            with pytest.raises(ConfigError, match=f"too small to resolve the {kind}"):
+                hn.make_initial_data(s)
 
 
 class TestRunExperiment:
@@ -382,7 +389,7 @@ class TestBundleFormat:
         special = np.array([-0.0, 5e-324, 1e16, 1e-5, np.nan])
         path = str(tmp_path / "a.csv")
         columns = (special, special[::-1], -special)
-        hn._write_csv(path, "x,u,w", columns)
+        hn.write_csv(path, "x,u,w", columns)
         with open(path) as fh:
             lines = fh.read().splitlines()
         assert lines == ["x,u,w"] + [
@@ -406,6 +413,21 @@ class TestCli:
         assert "kappa = 0.125" in text
         header = out.read_text().splitlines()[0]
         assert header == "x,chi_star,eta_star,V_star"
+
+    def test_profiles_z_column_round_trips_exactly(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        rc = cli.main([
+            "profiles", "--beta", "1", "--gamma", "1", "--mass", "0.5",
+            "--alpha", "1.5", "--c-plus", "1", "--c-minus", "-0.5", "--z-time", "3",
+            "--L", "40", "--N", "256", "--table-out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,chi_star,eta_star,V_star,Z_t3"
+        z = np.array([float(line.split(",")[4]) for line in lines[1:]])
+        p = pr.ModelParams(1.0, 1.0, 1.5, 0.5)
+        ps = pr.constants(p, c_alpha=(1.0, -0.5))
+        assert np.array_equal(z, pr.Z_eval(make_grid(40.0, 256).x, 3.0, p, ps))
 
     def test_verify_identities_suite(self, capsys):
         rc = cli.main(["verify", "--suite", "identities"])

@@ -280,6 +280,20 @@ class TestZ:
         err = [np.abs(terms(m) - ref).max(axis=1) for m in (4, 8)]
         assert np.all(np.abs(err[0] / err[1] - 4.0) < 0.1)
 
+    @pytest.mark.parametrize("x0, spacing", [(0.3, 0.3), (-0.7, 0.35), (0.0, 0.05)])
+    def test_single_point_matches_a_lattice_through_it(self, x0, spacing):
+        # a single point is spaced by its distance to 0 (0.05 at x = 0)
+        lattice = spacing * np.arange(-20, 21)
+        i = int(np.argmin(np.abs(lattice - x0)))
+        assert lattice[i] == x0
+        assert pr._z_lattice(np.array([x0]))[0] == pr._z_lattice(lattice)[0]
+        for l in (0, 1):
+            for t in (0.5, 5.0, 50.0):
+                z = pr.Z_eval(lattice, t, P, self.ps, derivative=l)
+                one = pr.Z_eval(np.array([x0]), t, P, self.ps, derivative=l)
+                assert one.shape == (1,)
+                assert abs(one[0] - z[i]) <= 1e-13 * np.abs(z).max()
+
     def test_rejects_points_off_a_lattice_through_zero(self):
         uneven = np.array([-1.0, 0.0, 0.5, 2.0])
         shifted = np.linspace(-10.03, 9.97, 101)  # dx = 0.2, 0 not on the lattice

@@ -119,6 +119,16 @@ class TestIntegrate:
         with pytest.raises(ConfigError):
             sv.integrate(gaussian_data(grid60), P, [2.0, 1.0])
 
+    def test_mass_drift_beyond_tolerance_raises(self, grid60):
+        # the tolerance is 1e-8 max(1, |m0|)
+        times = np.array([1.0, 2.0])
+        ok = sv.Trajectory(P, grid60, times, [], np.array([1.0, 1.0 + 0.5e-8]), np.zeros(2))
+        assert ok.validate() is ok
+        drifted = sv.Trajectory(P, grid60, times, [], np.array([1.0, 1.0 + 2e-8]),
+                                np.zeros(2))
+        with pytest.raises(InstabilityError, match="mass drift"):
+            drifted.validate()
+
     def test_snapshot_at_zero_included(self, grid60):
         u0 = gaussian_data(grid60)
         traj = sv.integrate(u0, P, [0.0, 1.0])
@@ -336,6 +346,31 @@ class TestStepControl:
         flaky_march(1)
         with pytest.raises(InstabilityError):
             sv.integrate(gaussian_data(grid60), P, [1.0, 2.0], dt=0.1)
+
+    def test_real_sentinel_trips_fixed_and_doubling(self, grid60):
+        # a sentinel threshold below the state's own spectrum: the sentinel itself,
+        # not an injected failure, trips after the first step of every march
+        u0 = gaussian_data(grid60)
+        uhat = np.fft.rfft(u0.values)
+        flow = sv._BbmbFlow(grid60, P, math.inf,
+                            0.5 * np.abs(uhat).max() / grid60.n_points)
+        with pytest.raises(InstabilityError, match="spectral magnitude"):
+            flow.fixed(uhat, 0.0, 1.0, 0.1)
+
+        real, trips = flow._sentinel, []
+
+        def sentinel(hat, t):
+            try:
+                real(hat, t)
+            except InstabilityError:
+                trips.append(t)
+                raise
+
+        flow._sentinel = sentinel
+        with pytest.raises(InstabilityError,
+                           match=f"^{sv._MAX_REJECTIONS} consecutive rejected steps"):
+            flow.doubling(uhat, 0.0, 1.0, 0.1, math.inf, float(np.abs(u0.values).max()))
+        assert len(trips) == sv._MAX_REJECTIONS
 
     def test_steps_grow_as_solution_decays(self):
         g = make_grid(100.0, 2048)
