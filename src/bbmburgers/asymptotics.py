@@ -91,8 +91,9 @@ def error_series_multi(
 ) -> dict:
     """Error series for several combinations of COMBOS at once.
 
-    Profile fields are evaluated once per snapshot and shared across the
-    requested combinations; V and Z only when a combination holds them.
+    Profile fields and the derivatives of u - chi (and u - chi - V) are
+    evaluated once per snapshot and shared across the requested
+    combinations; V and Z only when a combination holds them.
     Norms are taken over core.measurement_mask, outside of which the tail
     taper makes the box solution diverge from the whole-line profiles by
     construction.  Returns {(combo, order, norm): ErrorSeries}.
@@ -117,12 +118,14 @@ def error_series_multi(
         if need_z and t > 0:
             for l in orders:
                 z_t[l] = Z_eval(x[mask], t, p, ps, derivative=l)
+        derivs = {}  # with V or not -> {order: derivative of the base on the mask}
         for combo in combos:
-            base = snap.values - chi_t
-            if "V" in combo:
-                base -= v_t
+            with_v = "V" in combo
+            if with_v not in derivs:
+                base = snap.values - chi_t - v_t if with_v else snap.values - chi_t
+                derivs[with_v] = {l: grid.deriv(base, l)[mask] for l in orders}
             for l in orders:
-                arr = grid.deriv(base, l)[mask]
+                arr = derivs[with_v][l]
                 if "Z" in combo and t > 0:
                     arr = arr - z_t[l]
                 for nm in norms:

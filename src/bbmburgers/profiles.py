@@ -349,9 +349,9 @@ def _z_args(x, t: float, p: ModelParams, derivative: int):
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
-# Heat-semigroup route: lattice step bound, kernel reach in units of sqrt(t)
-# (the Gaussian mass beyond 12 sqrt(t) is below 1e-16), and the relative
-# tolerance within which x must be evenly spaced on a lattice through 0.
+# Heat-semigroup route: lattice step bound, reach of rho around each point in
+# units of sqrt(t) (the Gaussian mass beyond 12 sqrt(t) is erfc(6) ~ 2e-17), and
+# the relative tolerance within which x must be evenly spaced on a lattice through 0.
 _Z_LATTICE_STEP = 0.05
 _Z_KERNEL_REACH = 12.0
 _Z_LATTICE_RTOL = 1e-9
@@ -393,20 +393,21 @@ def _fast_len(n: int) -> int:
 
 def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet,
                         rows: int):
-    """w = G(t) rho and its first rows - 1 x-derivatives at the lattice points k h.
+    """Trapezoid sums over y_j = j h of G^(m)(x - y) rho(y), m < rows, at x = k h,
+    with rho(0) the mean of its jump: G^(m)(t) rho up to _kink_terms and O(h^6).
 
-    Each is the trapezoid sum over y_j = j h of the sampled kernel (G, G' or
-    G'') against rho, with rho at y = 0 set to the mean of its jump, so the
-    error is O(h^2) with an even expansion in h.  rho is sampled on the
-    n_rho lattice points lo, ..., lo + n_rho - 1 within J h of some k, and the
-    kernels on |j| <= J.  The discrete convolutions are circular ones of the
-    smallest fast length n >= n_rho, each kernel's spectrum multiplied by the
-    one rfft of rho, all zero-padded to n by the transform itself: the linear
-    convolution has n_rho + 2J terms, the kept outputs k + J - lo fill
-    [2J, n_rho - 1], and a length-n circular convolution wraps only the terms
-    from n on, onto [0, n_rho + 2J - 1 - n], within [0, 2J - 1].  Returns a
-    (rows, k.size) array; rows = 2 (w, w') skips the kernel G''.
+    rho is sampled on the n_rho lattice points lo, ..., lo + n_rho - 1 within
+    J h >= 12 sqrt(t) of some k.  Its one rfft, zero-padded to the smallest fast
+    length n >= n_rho, is multiplied by the heat multiplier exp(-t xi^2) (i xi)^m
+    of each row, and the irfft is read at k - lo.  Wrap: those outputs lie in
+    [J, n_rho - 1 - J], more than J steps from every wrapped rho node, so the
+    wrapped nodes, like those beyond J h left out, weigh at most the Gaussian
+    tail beyond 12 sqrt(t), where G <= e^-36 G(0).  Aliasing: the band |xi| <= pi/h misses
+    exp(-t pi^2 / h^2) of the kernel, above e^(-4 pi^2) ~ 7e-18 for t < 4 h^2,
+    where ConfigError is raised.  Returns a (rows, k.size) array.
     """
+    if t < 4.0 * h * h:
+        raise ConfigError(f"Z lattice step {h} needs t >= 4 h^2, got t = {t}")
     J = int(math.ceil(_Z_KERNEL_REACH * math.sqrt(t) / h))
     lo = int(k.min()) - J
     n_rho = int(k.max()) + J + 1 - lo
@@ -419,15 +420,33 @@ def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet,
     if lo <= 0 < lo + n_rho:
         rho[-lo] = 0.5 * (ps.c_alpha_plus + ps.c_alpha_minus)
 
-    z = h * np.arange(-J, J + 1)
-    inv2t = 0.5 / t
-    g = (h / math.sqrt(4.0 * math.pi * t)) * np.exp(-(z * z) * (0.25 / t))
-    kernels = [g, -z * inv2t * g]
-    if rows == 3:
-        kernels.append((z * z * inv2t * inv2t - inv2t) * g)
-    spec = np.fft.rfft(kernels, n=n_fft)
-    spec *= np.fft.rfft(rho, n=n_fft)
-    return np.fft.irfft(spec, n=n_fft)[:, k + (J - lo)]
+    i_xi = 1j * (2.0 * math.pi / (n_fft * h)) * np.arange(n_fft // 2 + 1)
+    spec = np.fft.rfft(rho, n=n_fft) * np.exp(t * i_xi * i_xi)
+    spec = spec * i_xi ** np.arange(rows)[:, None]
+    return np.fft.irfft(spec, n=n_fft)[:, k - lo]
+
+
+def _kink_terms(x, h: float, t: float, p: ModelParams, ps: ProfileSet, rows: int):
+    """Euler-Maclaurin terms of the kink of rho at y = 0, which the trapezoid
+    sums of _heat_lattice_terms miss: (h^2/12) [f'] - (h^4/720) [f'''] for
+    f(y) = G^(m)(x - y) rho(y), m < rows, [.] the jump at 0, with
+    [f'] = -G^(m+1) j0 + G^(m) j1,
+    [f'''] = -G^(m+3) j0 + 3 G^(m+2) j1 - 3 G^(m+1) j2 + G^(m) j3 and
+    j_i = (1-alpha)(-alpha)...(2-alpha-i) (c+ - (-1)^i c-), the jump of rho^(i).
+    G^(n) = (-1/sqrt(4t))^n H_n(u) G at u = x/sqrt(4t), so each row is G times
+    one Hermite series.  Returns a (rows, x.size) array.
+    """
+    falling = np.cumprod([1.0, 1.0 - p.alpha, -p.alpha, -1.0 - p.alpha])
+    j = falling * (ps.c_alpha_plus - (-1.0) ** np.arange(4) * ps.c_alpha_minus)
+    e2, e4 = h * h / 12.0, h**4 / 720.0
+    shift = np.array([e2 * j[1] - e4 * j[3], 3.0 * e4 * j[2] - e2 * j[0],
+                      -3.0 * e4 * j[1], e4 * j[0]])  # of G^(m), ..., G^(m+3)
+    s = 1.0 / math.sqrt(4.0 * t)
+    coef = np.zeros((rows + 3, rows))
+    for m in range(rows):
+        coef[m:m + 4, m] = shift * (-s) ** np.arange(m, m + 4)
+    u = s * x
+    return np.exp(-u * u) * (s / SQRT_PI) * np.polynomial.hermite.hermval(u, coef)
 
 
 def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
@@ -436,16 +455,16 @@ def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
     Z = d_x(eta(t) w) with w = G(t)[rho], rho(y) = c_alpha(y) (1+|y|)^{1-alpha},
     so Z = eta (w' + (beta/2) chi w) and, with b = beta chi / 2,
     Z_x = eta (w'' + 2 b w' + (b' + b^2) w).  The heat-semigroup terms w, w'
-    (and w'' for Z_x only) come from discrete convolutions on the uniform
-    lattice y = j h through 0 covering [min x - 12 sqrt(t), max x + 12 sqrt(t)],
+    (and w'' for Z_x only) are trapezoid sums on the uniform lattice y = j h
+    through 0 (_heat_lattice_terms: one rfft of rho, one irfft per term),
     with h = dx/m for the smallest integer m giving h <= 0.05 (dx the spacing
-    of x); the h and h/2 results are combined by Richardson extrapolation,
-    (4 w_{h/2} - w_h)/3, for an O(h^4) error.  x must therefore be evenly
-    spaced on a lattice through 0 (ConfigError otherwise; there is no dense
-    fallback).  Z_eval_quadrature is the independent panel Gauss-Legendre
-    oracle of the same integral, checked against this route in
-    checks.suite_identities.  Only derivative orders 0 and 1 are supported in
-    closed form.
+    of x), plus the closed-form Euler-Maclaurin terms of the kink of rho at
+    y = 0 (_kink_terms), for an O(h^6) error.  x must therefore be evenly
+    spaced on a lattice through 0, and t >= 4 h^2 (ConfigError otherwise;
+    there is no dense fallback).  Z_eval_quadrature is the independent panel
+    Gauss-Legendre oracle of the same integral, checked against this route
+    in checks.suite_identities.  Only derivative orders 0 and 1 are supported
+    in closed form.
     """
     x = _z_args(x, t, p, derivative)
     if ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0:
@@ -453,9 +472,7 @@ def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
 
     h, k = _z_lattice(x)
     rows = 2 + derivative
-    coarse = _heat_lattice_terms(k, h, t, p, ps, rows)
-    fine = _heat_lattice_terms(2 * k, 0.5 * h, t, p, ps, rows)
-    terms = (4.0 * fine - coarse) / 3.0
+    terms = _heat_lattice_terms(k, h, t, p, ps, rows) + _kink_terms(x, h, t, p, ps, rows)
     w, wx = terms[0], terms[1]
 
     b = 0.5 * p.beta * chi(x, t, p)

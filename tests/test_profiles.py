@@ -237,15 +237,14 @@ class TestZ:
 
     def test_padding_just_above_a_power_of_two_matches_quadrature(self):
         # the convolution length is the smallest fast one >= n_rho, the lattice
-        # points covered by rho; here n_rho exceeds 4096 (step h) and 8192 (h/2)
-        # by a few points, where a power-of-two length would nearly double it
+        # points covered by rho; here n_rho exceeds 4096 by a few points, where
+        # a power-of-two length would nearly double it
         x = np.linspace(-36.8, 36.8, 369)  # dx = 0.2: lattice step 0.05
         t = 30.0
         h, k = pr._z_lattice(x)
-        for m, power in ((1, 4096), (2, 8192)):
-            J = math.ceil(pr._Z_KERNEL_REACH * math.sqrt(t) / (h / m))
-            n_rho = m * int(k.max() - k.min()) + 2 * J + 1
-            assert power < n_rho <= power + 16
+        J = math.ceil(pr._Z_KERNEL_REACH * math.sqrt(t) / h)
+        n_rho = int(k.max() - k.min()) + 2 * J + 1
+        assert 4096 < n_rho <= 4096 + 16
         for l in (0, 1):
             z = pr.Z_eval(x, t, P, self.ps, derivative=l)
             ref = pr.Z_eval_quadrature(x, t, P, self.ps, derivative=l)
@@ -267,18 +266,55 @@ class TestZ:
             assert two.shape == (2, k.size)
             assert np.array_equal(two, three[:2])
 
+    def _lattice_terms(self, k, m, p=P, ps=None, kink=False):
+        # w, w', w'' at t = 2 on the lattice of step 0.4 / m through the points k 0.4
+        ps = self.ps if ps is None else ps
+        h = 0.4 / m
+        raw = pr._heat_lattice_terms(m * k, h, 2.0, p, ps, 3)
+        return raw + pr._kink_terms(0.4 * k, h, 2.0, p, ps, 3) if kink else raw
+
     def test_lattice_sum_is_second_order_before_extrapolation(self):
         # halving h cuts the error 4x only because rho takes the mean of its
         # jump at y = 0; the raw one-sided value would leave an O(h) error
-        x = np.linspace(-20.0, 20.0, 101)
-        k = np.rint(x / 0.4).astype(np.int64)
-
-        def terms(m):
-            return pr._heat_lattice_terms(m * k, 0.4 / m, 2.0, P, self.ps, 3)
-
-        ref = (4.0 * terms(32) - terms(16)) / 3.0
-        err = [np.abs(terms(m) - ref).max(axis=1) for m in (4, 8)]
+        k = np.arange(-50, 51)
+        ref = self._lattice_terms(k, 32, kink=True)
+        err = [np.abs(self._lattice_terms(k, m) - ref).max(axis=1) for m in (4, 8)]
         assert np.all(np.abs(err[0] / err[1] - 4.0) < 0.1)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_kink_terms_make_the_lattice_sum_sixth_order(self, alpha):
+        # the h^2 and h^4 Euler-Maclaurin terms leave the O(h^6) remainder:
+        # each halving of h (0.2, 0.1, 0.05) cuts the error 64x
+        p = ModelParams(1.0, 1.0, alpha, 0.5)
+        ps = pr.constants(p, c_alpha=(1.0, -1.0))
+        k = np.arange(-50, 51)
+        ref = self._lattice_terms(k, 64, p, ps, kink=True)
+        err = [np.abs(self._lattice_terms(k, m, p, ps, kink=True) - ref).max(axis=1)
+               for m in (2, 4, 8)]
+        for coarse, fine in zip(err, err[1:]):
+            assert np.all(np.abs(coarse / fine - 64.0) < 6.4)
+
+    def test_rejects_times_below_four_lattice_steps_squared(self):
+        # below t = 4 h^2 the heat multiplier's aliasing exceeds e^(-4 pi^2)
+        x = np.linspace(-1.0, 1.0, 41)  # lattice step 0.05
+        pr.Z_eval(x, 0.0101, P, self.ps)
+        with pytest.raises(ConfigError):
+            pr.Z_eval(x, 0.0099, P, self.ps)
+
+    def test_matches_quadrature_across_alpha_and_tail_limits(self):
+        # the suite's 1e-8 bound of max|Z| over alpha near 1 and 2, c+ = c- and
+        # c+ != -c-, t in {1, 10, 100} and both orders, on every 10th point
+        x = np.linspace(-20.0, 20.0, 801)
+        for alpha in (1.05, 1.2, 1.5, 1.9, 1.99, 2.0):
+            p = ModelParams(1.0, 1.0, alpha, 0.5)
+            for c_alpha in ((1.0, -1.0), (1.0, 1.0), (0.7, -0.2)):
+                ps = pr.constants(p, c_alpha=c_alpha)
+                for t in (1.0, 10.0, 100.0):
+                    for l in (0, 1):
+                        z = pr.Z_eval(x, t, p, ps, derivative=l)
+                        ref = pr.Z_eval_quadrature(x[::10], t, p, ps, derivative=l)
+                        assert np.abs(z[::10] - ref).max() <= 1e-8 * np.abs(z).max(), (
+                            alpha, c_alpha, t, l)
 
     @pytest.mark.parametrize("x0, spacing", [(0.3, 0.3), (-0.7, 0.35), (0.0, 0.05)])
     def test_single_point_matches_a_lattice_through_it(self, x0, spacing):
