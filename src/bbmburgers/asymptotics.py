@@ -91,9 +91,9 @@ def error_series_multi(
 ) -> dict:
     """Error series for several combinations of COMBOS at once.
 
-    Profile fields and the derivatives of u - chi (and u - chi - V) are
-    evaluated once per snapshot and shared across the requested
-    combinations; V and Z only when a combination holds them.
+    Profile fields and the derivatives of the two bases u - chi and
+    u - chi - V are evaluated once per snapshot and shared across the
+    requested combinations; V and Z only when a combination holds them.
     Norms are taken over core.measurement_mask, outside of which the tail
     taper makes the box solution diverge from the whole-line profiles by
     construction.  Returns {(combo, order, norm): ErrorSeries}.
@@ -118,18 +118,17 @@ def error_series_multi(
         if need_z and t > 0:
             for l in orders:
                 z_t[l] = Z_eval(x[mask], t, p, ps, derivative=l)
-        derivs = {}  # with V or not -> {order: derivative of the base on the mask}
-        for combo in combos:
-            with_v = "V" in combo
-            if with_v not in derivs:
-                base = snap.values - chi_t - v_t if with_v else snap.values - chi_t
-                derivs[with_v] = {l: grid.deriv(base, l)[mask] for l in orders}
+        for with_v in (False, True):  # the two bases, u - chi and u - chi - V
+            group = [c for c in combos if ("V" in c) == with_v]
+            if not group:
+                continue
+            base = snap.values - chi_t - v_t if with_v else snap.values - chi_t
             for l in orders:
-                arr = derivs[with_v][l]
-                if "Z" in combo and t > 0:
-                    arr = arr - z_t[l]
-                for nm in norms:
-                    acc[(combo, l, nm)].append(_norm_value(grid, arr, nm))
+                d_base = grid.deriv(base, l)[mask]
+                for combo in group:
+                    arr = d_base - z_t[l] if "Z" in combo and t > 0 else d_base
+                    for nm in norms:
+                        acc[(combo, l, nm)].append(_norm_value(grid, arr, nm))
     out = {}
     for (combo, l, nm), vals in acc.items():
         out[(combo, l, nm)] = ErrorSeries(
