@@ -400,9 +400,9 @@ def _heat_lattice_terms(k, h: float, t: float, p: ModelParams, ps: ProfileSet,
     J h >= 12 sqrt(t) of some k.  Its one rfft, zero-padded to the smallest fast
     length n >= n_rho, is multiplied by the heat multiplier exp(-t xi^2) (i xi)^m
     of each row, and the irfft is read at k - lo.  Wrap: those outputs lie in
-    [J, n_rho - 1 - J], more than J steps from every wrapped rho node, so the
-    wrapped nodes, like those beyond J h left out, weigh at most the Gaussian
-    tail beyond 12 sqrt(t), where G <= e^-36 G(0).  Aliasing: the band |xi| <= pi/h misses
+    [J, n_rho - 1 - J], more than J steps from every wrapped rho node, so these,
+    like the nodes beyond J h left out, weigh at most the Gaussian tail beyond
+    12 sqrt(t), where G <= e^-36 G(0).  Aliasing: the band |xi| <= pi/h misses
     exp(-t pi^2 / h^2) of the kernel, above e^(-4 pi^2) ~ 7e-18 for t < 4 h^2,
     where ConfigError is raised.  Returns a (rows, k.size) array.
     """
