@@ -32,7 +32,6 @@ from .solver import (
 from .asymptotics import (
     ErrorSeries,
     RateFit,
-    error_series,
     error_series_multi,
     fit_rate,
     optimal_rate_report,

@@ -34,7 +34,6 @@ __all__ = [
     "rate_claim",
     "claimed_combos",
     "default_window",
-    "error_series",
     "error_series_multi",
     "fit_rate",
     "theil_sen_slope",
@@ -135,15 +134,6 @@ def error_series_multi(
             traj.times.copy(), np.asarray(vals), combo, nm, l
         )
     return out
-
-
-def error_series(
-    traj: Trajectory, combo: str, l: int, norm: str, ps: ProfileSet
-) -> ErrorSeries:
-    """Single-series convenience wrapper around error_series_multi."""
-    return error_series_multi(traj, ps, [combo], orders=(l,), norms=(norm,))[
-        (combo, l, norm)
-    ]
 
 
 # ---------------------------------------------------------------------------

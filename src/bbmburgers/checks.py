@@ -19,7 +19,7 @@ from .errors import NumericsError
 from .profiles import ModelParams
 
 __all__ = ["CheckResult", "suite_identities", "suite_semigroup", "suite_oracles",
-           "suite_rates", "run_suite", "SUITES"]
+           "suite_rates", "SUITES"]
 
 
 @dataclass
@@ -233,9 +233,3 @@ SUITES = {
     "oracles": suite_oracles,
     "rates": suite_rates,
 }
-
-
-def run_suite(name: str) -> list:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name]()

@@ -6,7 +6,6 @@ Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 instability,
 """
 
 import argparse
-import functools
 import glob
 import json
 import os
@@ -66,7 +65,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = checks.run_suite(args.suite)
+    results = checks.SUITES[args.suite]()
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -98,7 +97,9 @@ def _load_bundle_trajectory(bundle_dir: str):
 
 def _cmd_rates(args) -> int:
     s, traj, ps = _load_bundle_trajectory(args.bundle)
-    es = asy.error_series(traj, args.combo, args.l, args.norm, ps)
+    key = (args.combo, args.l, args.norm)
+    es = asy.error_series_multi(traj, ps, [args.combo], orders=(args.l,),
+                                norms=(args.norm,))[key]
     window = tuple(args.window) if args.window else asy.default_window(traj.times)
     claim = asy.rate_claim(s.alpha, args.combo, args.l, args.norm)
     fit = asy.fit_rate(es, window, log_power=claim.log_power)
@@ -111,38 +112,27 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _run_one(path_and_out):
-    path, out = path_and_out
+def _run_one(path, out):
     with open(path) as fh:
         s = scenario_from_json(json.load(fh))
-    bundle = run_experiment(s, out_root=out)
-    return path, bundle["paths"].get("bundle_dir", "")
+    return run_experiment(s, out_root=out)["paths"].get("bundle_dir", "")
 
 
 def _cmd_sweep(args) -> int:
     paths = sorted(glob.glob(args.configs))
     if not paths:
         raise ConfigError(f"no configs match {args.configs!r}")
-    jobs = [(path, args.out) for path in paths]
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     failures = 0
-
-    def report(path, result):
-        nonlocal failures
-        try:
-            _, bundle_dir = result()
-            print(f"{path} -> {bundle_dir}")
-        except Exception as exc:  # noqa: BLE001 - report, keep sweeping
-            failures += 1
-            print(f"{path} FAILED: {type(exc).__name__}: {exc}")
-
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            futures = [(job[0], ex.submit(_run_one, job)) for job in jobs]
-            for path, fut in futures:
-                report(path, fut.result)
-    else:
-        for job in jobs:
-            report(job[0], functools.partial(_run_one, job))
+    with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        futures = [(path, ex.submit(_run_one, path, args.out)) for path in paths]
+        for path, fut in futures:
+            try:
+                print(f"{path} -> {fut.result()}")
+            except Exception as exc:  # noqa: BLE001 - report, keep sweeping
+                failures += 1
+                print(f"{path} FAILED: {type(exc).__name__}: {exc}")
     return 1 if failures else 0
 
 

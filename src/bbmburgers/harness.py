@@ -10,7 +10,7 @@ import json
 import math
 import os
 import shutil
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -263,20 +263,8 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
         except ConfigError as exc:
             fits[key] = {"combo": combo, "norm": nm, "l": l, "error": str(exc)}
             continue
-        entry = {
-            "combo": combo,
-            "norm": nm,
-            "l": l,
-            "log_power": claim.log_power,
-            "claimed_exponent": claim.exponent,
-            "claim_kind": claim.kind,
-            "exponent": fit.exponent,
-            "theil_sen": fit.theil_sen,
-            "amplitude": fit.amplitude,
-            "residual_rms": fit.residual_rms,
-            "window": list(fit.window),
-            "n_samples": fit.n_samples,
-        }
+        entry = {"combo": combo, "norm": nm, "l": l, "claimed_exponent": claim.exponent,
+                 "claim_kind": claim.kind, **asdict(fit)}
         if claim.kind == "band":
             entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
         try:

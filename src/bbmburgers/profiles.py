@@ -21,11 +21,9 @@ __all__ = [
     "ProfileSet",
     "chi_star",
     "chi_star_deriv",
-    "chi_star_deriv2",
     "chi_star_sup",
     "chi",
     "chi_x",
-    "chi_xx",
     "chi_and_chi_xx",
     "chi_t",
     "eta_star",
@@ -108,22 +106,19 @@ def chi_star(x, p: ModelParams):
     return coeff * np.exp(-(x**2) / 4.0) / den
 
 
+def _chi_star_jet(y, p: ModelParams):
+    """(c, c', c'') = chi_star and its first two derivatives at y from one
+    chi_star evaluation: the stationary Burgers relation c' = -y c/2 + beta c^2/2
+    and its derivative c'' = -c/2 - y c'/2 + beta c c'."""
+    y = np.asarray(y, dtype=np.float64)
+    c = chi_star(y, p)
+    c1 = -0.5 * y * c + 0.5 * p.beta * c * c
+    return c, c1, -0.5 * c - 0.5 * y * c1 + p.beta * c * c1
+
+
 def chi_star_deriv(x, p: ModelParams):
     """chi_star' via the stationary Burgers relation chi' = -x chi/2 + beta chi^2/2."""
-    c = chi_star(x, p)
-    return -0.5 * np.asarray(x) * c + 0.5 * p.beta * c * c
-
-
-def _chi_star_deriv2_of(y, c, beta: float):
-    """chi_star'' at y from c = chi_star(y): the stationary Burgers relation
-    c' = -y c/2 + beta c^2/2 differentiated once more."""
-    c1 = -0.5 * y * c + 0.5 * beta * c * c
-    return -0.5 * c - 0.5 * y * c1 + beta * c * c1
-
-
-def chi_star_deriv2(x, p: ModelParams):
-    x = np.asarray(x, dtype=np.float64)
-    return _chi_star_deriv2_of(x, chi_star(x, p), p.beta)
+    return _chi_star_jet(x, p)[1]
 
 
 def chi_star_sup(p: ModelParams) -> float:
@@ -156,20 +151,16 @@ def chi_x(x, t, p: ModelParams):
 def chi_and_chi_xx(x, t, p: ModelParams):
     """chi and chi_xx at one time from a single chi_star evaluation."""
     s = math.sqrt(1.0 + t)
-    y = np.asarray(x, dtype=np.float64) / s
-    c = chi_star(y, p)
-    return c / s, _chi_star_deriv2_of(y, c, p.beta) / (1.0 + t) ** 1.5
-
-
-def chi_xx(x, t, p: ModelParams):
-    return chi_and_chi_xx(x, t, p)[1]
+    c, _, c2 = _chi_star_jet(np.asarray(x) / s, p)
+    return c / s, c2 / (1.0 + t) ** 1.5
 
 
 def chi_t(x, t, p: ModelParams):
     """Time derivative of chi, from the self-similar form."""
     s = math.sqrt(1.0 + t)
     y = np.asarray(x) / s
-    return -0.5 * (chi_star(y, p) + y * chi_star_deriv(y, p)) / (1.0 + t) ** 1.5
+    c, c1 = _chi_star_jet(y, p)[:2]
+    return -0.5 * (c + y * c1) / (1.0 + t) ** 1.5
 
 
 def eta_star(x, p: ModelParams):
@@ -212,8 +203,7 @@ def V_star_from_derivative(x, p: ModelParams):
 def V_star_deriv(x, p: ModelParams):
     """x-derivative of V_star."""
     x = np.asarray(x, dtype=np.float64)
-    cs = chi_star(x, p)
-    cs1 = chi_star_deriv(x, p)
+    cs, cs1 = _chi_star_jet(x, p)[:2]
     es = eta_star(x, p)
     gauss = np.exp(-(x**2) / 4.0)
     half = 0.5 * (p.beta * cs - x)
@@ -482,13 +472,19 @@ def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
     return eta(x, t, p) * (terms[2] + 2.0 * b * wx + (b1 + b * b) * w)
 
 
+_Z_PANEL_CAP = 5.0  # widest Z_eval_quadrature panel; its docstring bounds the error
+
+
 def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
     """Slow-tail correction profile (and its first x-derivative).
 
     Evaluates the y-integral of c_alpha(y) (1+|y|)^{1-alpha} against the
     closed-form x-derivatives of G(x-y, t) eta(x, t) by panel Gauss-Legendre
-    quadrature (panels of width sqrt(1 + t)), at any points x, through
-    dx_eta_heat of order 1 + derivative with s = t.  This quadrature route is
+    quadrature, at any points x, through dx_eta_heat of order 1 + derivative
+    with s = t.  Panels are w = min(sqrt(1 + t), 5) wide: next to the kink at
+    y = 0 the 16-point rule sees (1 + |y|)^{1-alpha}, singular at distance 1
+    from the panel, with an error of about r^-32, r = a + sqrt(a^2 - 1),
+    a = 1 + 2/w: 1e-12 at w = 5 (3e-6 at w = 25).  This quadrature route is
     the oracle for Z_eval.  Only derivative orders 0 and 1 are supported in
     closed form.
     """
@@ -497,7 +493,7 @@ def Z_eval_quadrature(x, t: float, p: ModelParams, ps: ProfileSet, derivative: i
         return np.zeros_like(x)
 
     lo, hi = _z_window(t, p.alpha, float(x.min()), float(x.max()))
-    width = min(max(math.sqrt(1.0 + t), 0.5), 25.0)
+    width = min(math.sqrt(1.0 + t), _Z_PANEL_CAP)
     y, w = panel_gauss_nodes(lo, hi, width)
     c_of_y = np.where(y >= 0.0, ps.c_alpha_plus, ps.c_alpha_minus)
     rho_w = w * c_of_y * (1.0 + np.abs(y)) ** (1.0 - p.alpha)

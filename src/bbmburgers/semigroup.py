@@ -24,20 +24,18 @@ __all__ = [
     "U_apply",
 ]
 
-_EXP_FLOOR = -700.0  # exp underflows well before this; avoids -inf * 0 edge cases
-
 
 def t_multiplier(xi, xi_odd, t: float, gamma: float):
     """Multiplier of T(t); the odd (dispersive) part is zeroed at Nyquist so
     the operator maps real fields to real fields on the discrete grid."""
     xi2 = xi * xi
-    re = np.maximum(-t * xi2 / (1.0 + xi2), _EXP_FLOOR)
+    re = -t * xi2 / (1.0 + xi2)
     im = gamma * t * xi_odd * xi2 / (1.0 + xi2)
     return np.exp(re + 1j * im)
 
 
 def g_multiplier(xi, t: float):
-    return np.exp(np.maximum(-t * xi * xi, _EXP_FLOOR))
+    return np.exp(-t * xi * xi)
 
 
 def _apply_multiplier(f: Field, mult) -> Field:
@@ -77,16 +75,6 @@ def helmholtz_inv(f: Field) -> Field:
     return _apply_multiplier(f, 1.0 / (1.0 + f.grid.xi_half**2))
 
 
-def _trig_values(f: Field):
-    """The trigonometric interpolant of f, as its coefficients and wavenumbers.
-
-    The one full FFT of f happens here.  Phase convention:
-    values[j] = sum_k coeff[k] exp(i xi_k (x_j + L)).
-    """
-    g = f.grid
-    return np.fft.fft(f.values) / g.n_points, g.xi
-
-
 _HELMHOLTZ_CUTOFF = 40.0  # kernel support kept by helmholtz_inv_direct, |u| <= 40
 _QUAD_LIMIT = 200  # subinterval budget of the adaptive quadrature
 
@@ -106,7 +94,10 @@ def helmholtz_inv_direct(f: Field, x_eval):
 
     g = f.grid
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=np.float64))
-    coeff, xi = _trig_values(f)
+    # the trigonometric interpolant of f, from its one full FFT; phase
+    # convention: values[j] = sum_k coeff[k] exp(i xi_k (x_j + L))
+    xi = g.xi
+    coeff = np.fft.fft(f.values) / g.n_points
     phase = np.exp(1j * np.outer(x_eval + g.half_width, xi))
 
     def integrand(u: float):

@@ -40,7 +40,7 @@ def _scaled_slope(es, power: float, log_correction: bool = False):
 
 @pytest.mark.parametrize("suite", ["identities", "semigroup", "oracles", "rates"])
 def test_criteria_1_to_4_builtin_suites(suite):
-    results = checks.run_suite(suite)
+    results = checks.SUITES[suite]()
     all_ok = True
     for r in results:
         all_ok &= _report(f"{suite}: {r.name}", r.passed,

@@ -31,7 +31,7 @@ class TestErrorSeries:
         times = [1.0, 5.0, 25.0]
         traj = synthetic_trajectory(g, P, times, lambda t: pr.chi(g.x, t, P))
         ps = pr.constants(P)
-        es = asy.error_series(traj, "chi", 0, "linf", ps)
+        es = asy.error_series_multi(traj, ps, ["chi"])[("chi", 0, "linf")]
         assert np.all(es.values < 1e-12)
 
     def test_mass_mismatch_leaves_floor(self):
@@ -42,7 +42,7 @@ class TestErrorSeries:
         traj = synthetic_trajectory(g, traj_params, times,
                                     lambda t: pr.chi(g.x, t, P))
         ps = pr.constants(traj_params)
-        es = asy.error_series(traj, "chi", 0, "linf", ps)
+        es = asy.error_series_multi(traj, ps, ["chi"])[("chi", 0, "linf")]
         wave_scale = np.array([np.abs(pr.chi(g.x, t, traj_params)).max()
                                for t in times])
         # the relative error does not decay: wrong-mass wave is a detector
@@ -56,8 +56,9 @@ class TestErrorSeries:
         bump = 0.01 * np.exp(-g.x**2 / 9.0) * rng.standard_normal()
         traj = synthetic_trajectory(g, P, times,
                                     lambda t: pr.chi(g.x, t, P) + bump)
-        chi_series = asy.error_series(traj, "chi", 0, "linf", ps)
-        z_series = asy.error_series(traj, "chi+Z", 0, "linf", ps)
+        series = asy.error_series_multi(traj, ps, ["chi", "chi+Z"])
+        chi_series = series[("chi", 0, "linf")]
+        z_series = series[("chi+Z", 0, "linf")]
         mask = np.abs(g.x) <= 0.8 * g.half_width
         for i, t in enumerate(times):
             z_norm = np.abs(pr.Z_eval(g.x[mask], t, P, ps)).max()
@@ -69,14 +70,14 @@ class TestErrorSeries:
         # only the RATE_CLAIMS combinations exist, not every join of chi, Z, V
         for combo in ("chi+Q", "V", "Z+V", "V+chi"):
             with pytest.raises(ConfigError):
-                asy.error_series(traj, combo, 0, "linf", pr.constants(P))
+                asy.error_series_multi(traj, pr.constants(P), [combo])
 
     def test_z_high_derivative_rejected(self):
         g = make_grid(100.0, 1024)
         traj = synthetic_trajectory(g, P, [1.0, 2.0], lambda t: pr.chi(g.x, t, P))
         ps = pr.constants(P, c_alpha=(1.0, 0.0))
         with pytest.raises(ConfigError):
-            asy.error_series(traj, "chi+Z", 2, "linf", ps)
+            asy.error_series_multi(traj, ps, ["chi+Z"], orders=(2,))
 
 
 class TestFitRate:
@@ -220,7 +221,8 @@ class TestOptimalRateReport:
             lambda t: pr.chi(g.x, t, P) + 0.05 * np.exp(-g.x**2 / 4.0) / (1.0 + t))
         short = (1.0, float(times[asy.MIN_FIT_SAMPLES - 2]))
         with pytest.raises(ConfigError, match=f"need >= {asy.MIN_FIT_SAMPLES}"):
-            asy.fit_rate(asy.error_series(traj, "chi", 0, "linf", ps), short)
+            asy.fit_rate(asy.error_series_multi(traj, ps, ["chi"])[("chi", 0, "linf")],
+                         short)
         report = asy.optimal_rate_report(traj, ps, window=short)
         for key in ("band", "refinement"):
             assert report[key]["status"] == "insufficient_samples"
@@ -251,8 +253,9 @@ class TestOptimalRateReport:
             return vals
 
         traj = synthetic_trajectory(g, P, times, field)
-        es_chi = asy.error_series(traj, "chi", 0, "linf", ps)
-        es_z = asy.error_series(traj, "chi+Z", 0, "linf", ps)
+        series = asy.error_series_multi(traj, ps, ["chi", "chi+Z"])
+        es_chi = series[("chi", 0, "linf")]
+        es_z = series[("chi+Z", 0, "linf")]
         f1 = asy.fit_rate(es_chi, (1.0, 100.0))
         f2 = asy.fit_rate(es_z, (1.0, 100.0))
         assert f2.exponent <= f1.exponent + 1e-9

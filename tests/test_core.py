@@ -219,7 +219,7 @@ class _FullFftFinder(ast.NodeVisitor):
 
 
 class TestSpectralLayer:
-    ALLOWED = {("semigroup.py", "_trig_values")}  # the interpolation oracle
+    ALLOWED = {("semigroup.py", "helmholtz_inv_direct")}  # the interpolation oracle
 
     def test_full_complex_fft_only_in_core(self):
         offenders = []

@@ -443,7 +443,7 @@ class TestCli:
     def test_verify_raises_on_failed_quadrature(self, failing_quadrature):
         # a non-converged oracle quadrature raises instead of printing a result
         with pytest.raises(NumericsError, match="eta_star oracle quadrature failed"):
-            checks.run_suite("identities")
+            checks.SUITES["identities"]()
 
     def test_numerics_error_exit_code(self, failing_quadrature, capsys):
         assert cli.main(["verify", "--suite", "identities"]) == 4
@@ -505,6 +505,11 @@ class TestCli:
         rc = cli.main(["sweep", "--configs", str(tmp_path / "*.json"),
                        "--jobs", "1", "--out", out])
         assert rc == 0
+
+    def test_sweep_rejects_nonpositive_jobs(self, tmp_path):
+        (tmp_path / "s1.json").write_text(tiny_scenario().canonical_json())
+        assert cli.main(["sweep", "--configs", str(tmp_path / "*.json"),
+                         "--jobs", "0", "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_failure_names_exception_type(self, tmp_path, capsys, jobs):

@@ -7,7 +7,7 @@ from scipy import integrate as spi
 from bbmburgers import (ConfigError, Field, MassMismatchError, ModelParams, NumericsError,
                         make_grid)
 from bbmburgers import profiles as pr
-from bbmburgers.core import lp_norm, tail_taper, tail_taper_deriv
+from bbmburgers.core import lp_norm, measurement_mask, tail_taper, tail_taper_deriv
 
 P = ModelParams(beta=1.0, gamma=1.0, alpha=1.5, mass=0.5)
 
@@ -35,7 +35,7 @@ class TestChiStar:
         fd1 = (pr.chi_star(x + h, P) - pr.chi_star(x - h, P)) / (2 * h)
         assert np.abs(pr.chi_star_deriv(x, P) - fd1).max() < 1e-9
         fd2 = (pr.chi_star_deriv(x + h, P) - pr.chi_star_deriv(x - h, P)) / (2 * h)
-        assert np.abs(pr.chi_star_deriv2(x, P) - fd2).max() < 1e-9
+        assert np.abs(pr.chi_and_chi_xx(x, 0.0, P)[1] - fd2).max() < 1e-9
 
     @pytest.mark.parametrize("beta, mass", [(1.0, 0.5), (-1.0, 0.5), (1.0, -0.5),
                                             (0.9, 0.4), (0.0, 0.3), (2.0, 1.0),
@@ -224,7 +224,7 @@ class TestZ:
         # points of the Z check in checks.suite_identities
         x = np.linspace(-20.0, 20.0, 801)
         lo, hi = pr._z_window(t, P.alpha, x[0], x[-1])
-        y, w = pr.panel_gauss_nodes(lo, hi, min(max(math.sqrt(1.0 + t), 0.5), 25.0))
+        y, w = pr.panel_gauss_nodes(lo, hi, min(math.sqrt(1.0 + t), pr._Z_PANEL_CAP))
         rho_w = w * np.where(y >= 0.0, 1.0, -1.0) * (1.0 + np.abs(y)) ** (1.0 - P.alpha)
         b = 0.5 * P.beta * pr.chi(x, t, P)[:, None]
         b1 = 0.5 * P.beta * pr.chi_x(x, t, P)[:, None]
@@ -315,6 +315,21 @@ class TestZ:
                         ref = pr.Z_eval_quadrature(x[::10], t, p, ps, derivative=l)
                         assert np.abs(z[::10] - ref).max() <= 1e-8 * np.abs(z).max(), (
                             alpha, c_alpha, t, l)
+
+    def test_matches_quadrature_on_the_production_window(self):
+        # the suite's 1e-8 bound of max|Z| out to t = 1000 on the measurement
+        # window of the production grid, every 40th point; the quadrature's
+        # panels next to the kink are capped at 5 wide, about 1e-12 of error
+        grid = make_grid(400.0, 16384)
+        x = grid.x[measurement_mask(grid)]
+        for c_alpha in ((1.0, -1.0), (1.0, 1.0)):
+            ps = pr.constants(P, c_alpha=c_alpha)
+            for t in (100.0, 354.0, 1000.0):
+                for l in (0, 1):
+                    z = pr.Z_eval(x, t, P, ps, derivative=l)
+                    ref = pr.Z_eval_quadrature(x[::40], t, P, ps, derivative=l)
+                    assert np.abs(z[::40] - ref).max() <= 1e-8 * np.abs(z).max(), (
+                        c_alpha, t, l)
 
     @pytest.mark.parametrize("x0, spacing", [(0.3, 0.3), (-0.7, 0.35), (0.0, 0.05)])
     def test_single_point_matches_a_lattice_through_it(self, x0, spacing):

@@ -7,7 +7,7 @@ from bbmburgers import ConfigError, Field, InstabilityError, ModelParams, make_g
 from bbmburgers import profiles as pr
 from bbmburgers import semigroup as sg
 from bbmburgers import solver as sv
-from bbmburgers.core import lp_norm
+from bbmburgers.core import lp_norm, measurement_mask
 
 P = ModelParams(beta=1.0, gamma=1.0, alpha=1.5, mass=0.3)
 
@@ -238,13 +238,36 @@ class TestSolveSecondAux:
         z0 = Field(grid60, np.zeros(grid60.n_points))
 
         def lam(x, t):
-            return -p.gamma * pr.chi_xx(x, t, p)
+            return -p.gamma * pr.chi_and_chi_xx(x, t, p)[1]
 
         ref = sv.solve_aux(z0, lam, p, [1.0, 4.0])
         traj = sv.solve_second_aux(p, grid60, [1.0, 4.0])
         assert traj.step_stats == ref.step_stats
         for a, b in zip(traj.snapshots, ref.snapshots):
             assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
+    @pytest.mark.parametrize("gamma, mass", [(1.0, 0.5), (-0.7, 0.3)])
+    def test_beta_zero_matches_exact_solution(self, gamma, mass):
+        # at beta = 0, chi = M G(x, 1+t) and v = -gamma M t d_x^3 G(x, 1+t)
+        # = gamma M t H_3(u) G(x, 1+t) / (4(1+t))^(3/2), u = x / sqrt(4(1+t)),
+        # H_3 = 8u^3 - 12u.  Each of the 9 segments leaves at most its tolerance,
+        # (_RTOL + _ROUNDOFF) max|v|, which the heat flow does not amplify; the
+        # non-periodic forcing adds the periodic image e^{-L^2/4(1+t)}
+        grid = make_grid(50.0, 1024)
+        mask = measurement_mask(grid)
+        times = np.geomspace(1.0, 36.0, 9)
+        traj = sv.solve_second_aux(ModelParams(0.0, gamma, 3.0, mass), grid, times)
+        x = grid.x[mask]
+        errs, peaks = [], []
+        for t, snap in zip(traj.times, traj.snapshots):
+            u = x / math.sqrt(4.0 * (1.0 + t))
+            g = np.exp(-u * u) / math.sqrt(4.0 * math.pi * (1.0 + t))
+            v = gamma * mass * t * (8.0 * u**3 - 12.0 * u) * g / (4.0 * (1.0 + t)) ** 1.5
+            errs.append(np.abs(snap.values[mask] - v).max())
+            peaks.append(np.abs(v).max())
+        image = math.exp(-grid.half_width**2 / (4.0 * (1.0 + times[-1])))
+        tol = len(times) * (sv._RTOL + sv._ROUNDOFF) + image
+        assert max(errs) <= tol * max(peaks)
 
     def test_large_mass_rejected(self, grid60):
         with pytest.raises(ConfigError):
@@ -546,7 +569,7 @@ class TestTransformLadder:
 
         def lam(x, t):
             calls.append(t)
-            return -p.gamma * pr.chi_xx(x, t, p)
+            return -p.gamma * pr.chi_and_chi_xx(x, t, p)[1]
 
         z0 = Field(grid60, np.zeros(grid60.n_points))
         samples = np.geomspace(1.0, 8.0, 6)

@@ -21,10 +21,11 @@ exact only to round-off.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbmburgers import Field, ModelParams, make_grid
+from bbmburgers import Field, ModelParams, harness, make_grid
 from bbmburgers import profiles as pr
 from bbmburgers import solver as sv
 
@@ -104,3 +105,35 @@ class TestReflection:
                          [t / 3, t])
         for sa, sb in zip(a.snapshots, b.snapshots):
             assert np.abs(sb.values[mirror] - sa.values).max() <= 1e-14
+
+    @pytest.mark.parametrize("beta, gamma, alpha, mass, c_plus, c_minus",
+                             [(1.0, 1.0, 1.5, 0.3, 1.0, -1.0),
+                              (-0.8, 0.5, 1.8, 0.5, 0.7, 0.2),
+                              (1.5, -1.0, 1.2, -0.4, -0.5, 1.0)])
+    def test_extracted_tail_limits(self, beta, gamma, alpha, mass, c_plus, c_minus):
+        # the trapezoid primitive of the mirrored deviation is m - P(-x), with
+        # m = dx sum(u0 - chi_star) the discrete mass residual, and eta_star
+        # mirrors to e^{-beta M/2} eta_star(-x): so each limit of the mirrored
+        # data is -e^{beta M/2} c-+ plus e^{beta M/2} m times a window mean of
+        # (1 + |x|)^(alpha-1) / eta_star, up to the round-off of the sums
+        s = harness.Scenario(name="mirror", beta=beta, gamma=gamma, alpha=alpha,
+                             mass=mass, data_kind="prescribed_r0", c_plus=c_plus,
+                             c_minus=c_minus, L=100.0, N=2048, t_samples=[1.0])
+        u0 = harness.make_initial_data(s)
+        g, p = u0.grid, s.params
+        q = ModelParams(-beta, -gamma, alpha, mass)
+        mirror = -np.arange(g.n_points) % g.n_points
+        a = pr.extract_c_alpha_detailed(pr.r0_eval(u0, p), p)
+        b = pr.extract_c_alpha_detailed(pr.r0_eval(Field(g, u0.values[mirror]), q), q)
+
+        e = math.exp(0.5 * beta * mass)
+        dev = u0.values - pr.chi_star(g.x, p)
+        weight = (1.0 + np.abs(g.x)) ** (alpha - 1.0) / pr.eta_star(g.x, p)
+        lo, hi = a["window"]
+        w_max = weight[(np.abs(g.x) >= lo) & (np.abs(g.x) <= hi)].max()
+        roundoff = g.n_points * np.finfo(np.float64).eps * g.dx * np.abs(dev).sum()
+        tol = e * (abs(g.dx * dev.sum()) + 2.0 * roundoff) * w_max
+        assert abs(b["c_plus"] + e * a["c_minus"]) <= tol
+        assert abs(b["c_minus"] + e * a["c_plus"]) <= tol
+        # the profile properties cannot see the sides; swapped, they miss
+        assert abs(b["c_plus"] + e * a["c_plus"]) > 1e3 * tol
