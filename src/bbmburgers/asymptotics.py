@@ -2,13 +2,14 @@
 the one table of rate claims.
 
 The profile combinations chi, chi+Z, chi+V, chi+Z+V are subtracted
-analytically; the solution itself is differentiated spectrally.  Exponents
-come from least squares of log-values against log(1+t), optionally after
-dividing out a log(1+t) factor, with a Theil-Sen slope reported alongside.
-RATE_CLAIMS states, per alpha branch and combination, the claimed exponent,
-its log power and the kind of test; it alone fixes which combinations exist
-(COMBOS) and which a run fits.  The harness fits, `bbmburgers rates` and
-optimal_rate_report all read it.
+analytically (Z and Z_x are the rows of one Z_eval call per sample time); the
+solution is differentiated spectrally.  Exponents come from least squares of
+log-values against log(1+t), optionally after dividing out a log(1+t) factor,
+with a Theil-Sen slope reported alongside.  RATE_CLAIMS states, per alpha
+branch and combination, the claimed exponent, its log power and the kind of
+test; it alone fixes which combinations exist (COMBOS) and which a run fits.
+The harness fits, `bbmburgers rates` and optimal_rate_report(series, p, ps,
+window, l), which judges the series error_series_multi returned, all read it.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import MEASUREMENT_FRACTION, measurement_mask
 from .errors import ConfigError, HypothesisViolationError
-from .profiles import ProfileSet, V, Z_eval, chi
+from .profiles import ModelParams, ProfileSet, V, Z_eval, chi
 from .solver import Trajectory
 
 __all__ = [
@@ -92,10 +93,10 @@ def error_series_multi(
 
     Profile fields and the derivatives of the two bases u - chi and
     u - chi - V are evaluated once per snapshot and shared across the
-    requested combinations; V and Z only when a combination holds them.
-    Norms are taken over core.measurement_mask, outside of which the tail
-    taper makes the box solution diverge from the whole-line profiles by
-    construction.  Returns {(combo, order, norm): ErrorSeries}.
+    requested combinations; V and Z (all orders in one call) only when a
+    combination holds them.  Norms are taken over core.measurement_mask,
+    outside of which the tail taper makes the box solution diverge from the
+    whole-line profiles by construction.  Returns {(combo, order, norm): ErrorSeries}.
     """
     p = traj.params
     grid = traj.grid
@@ -113,10 +114,7 @@ def error_series_multi(
     for t, snap in zip(traj.times, traj.snapshots):
         chi_t = chi(x, t, p)
         v_t = V(x, t, p, ps) if need_v else None
-        z_t = {}
-        if need_z and t > 0:
-            for l in orders:
-                z_t[l] = Z_eval(x[mask], t, p, ps, derivative=l)
+        z_t = Z_eval(x[mask], t, p, ps, max(orders)) if need_z and t > 0 else None
         for with_v in (False, True):  # the two bases, u - chi and u - chi - V
             group = [c for c in combos if ("V" in c) == with_v]
             if not group:
@@ -128,12 +126,8 @@ def error_series_multi(
                     arr = d_base - z_t[l] if "Z" in combo and t > 0 else d_base
                     for nm in norms:
                         acc[(combo, l, nm)].append(_norm_value(grid, arr, nm))
-    out = {}
-    for (combo, l, nm), vals in acc.items():
-        out[(combo, l, nm)] = ErrorSeries(
-            traj.times.copy(), np.asarray(vals), combo, nm, l
-        )
-    return out
+    return {(combo, l, nm): ErrorSeries(traj.times.copy(), np.asarray(vals), combo, nm, l)
+            for (combo, l, nm), vals in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +321,10 @@ def _scaled_entry(es: ErrorSeries, window, claim: RateClaim) -> dict:
 
 
 def optimal_rate_report(
-    traj: Trajectory, ps: ProfileSet, window=None, l: int = 0
+    series: dict, p: ModelParams, ps: ProfileSet, window=None, l: int = 0
 ) -> dict:
-    """Decide the RATE_CLAIMS of one trajectory and derivative order.
+    """Decide the RATE_CLAIMS of one run and derivative order l on the linf
+    series of order l in `series`, error_series_multi's output for that run.
 
     The branch's first-profile error (kind band) and its refinement (kind
     improves or bounded) are scaled by their claimed laws and judged by
@@ -337,10 +332,9 @@ def optimal_rate_report(
     (kappa != 0, mu1 != 0); without it the band is marked not-applicable.
     A window too short for fit_rate is marked insufficient_samples, not judged.
     """
-    p = traj.params
     alpha = p.alpha
     if window is None:
-        window = default_window(traj.times)
+        window = default_window(next(iter(series.values())).times)
     if p.mass == 0.0:
         raise HypothesisViolationError("optimal-rate claims require M != 0")
     branch = rate_branch(alpha)
@@ -361,7 +355,6 @@ def optimal_rate_report(
     }
 
     claims = {combo: rate_claim(alpha, combo, l) for combo in claimed_combos(alpha)}
-    series = error_series_multi(traj, ps, list(claims), orders=(l,), norms=("linf",))
     log_applicable = ps.kappa != 0.0 and ps.mu1 != 0.0
     for combo, claim in claims.items():
         key = "band" if claim.kind == "band" else "refinement"

@@ -44,7 +44,7 @@ def _cmd_profiles(args) -> int:
         cols = [x, pr.chi_star(x, p), pr.eta_star(x, p), pr.V_star(x, p)]
         header = "x,chi_star,eta_star,V_star"
         if args.z_time is not None:
-            cols.append(pr.Z_eval(x, args.z_time, p, ps))
+            cols.append(pr.Z_eval(x, args.z_time, p, ps)[0])
             header += f",Z_t{args.z_time:g}"
         write_csv(args.table_out, header, cols)
         print(f"wrote {args.table_out}")

@@ -440,36 +440,37 @@ def _kink_terms(x, h: float, t: float, p: ModelParams, ps: ProfileSet, rows: int
 
 
 def Z_eval(x, t: float, p: ModelParams, ps: ProfileSet, derivative: int = 0):
-    """Slow-tail correction profile (and its first x-derivative).
+    """Slow-tail correction profile: row l of the (derivative + 1, x.size)
+    result is d_x^l Z, for derivative 0 or 1, all rows from one lattice.
 
     Z = d_x(eta(t) w) with w = G(t)[rho], rho(y) = c_alpha(y) (1+|y|)^{1-alpha},
     so Z = eta (w' + (beta/2) chi w) and, with b = beta chi / 2,
     Z_x = eta (w'' + 2 b w' + (b' + b^2) w).  The heat-semigroup terms w, w'
-    (and w'' for Z_x only) are trapezoid sums on the uniform lattice y = j h
+    (and w'' for Z_x) are trapezoid sums on the uniform lattice y = j h
     through 0 (_heat_lattice_terms: one rfft of rho, one irfft per term),
     with h = dx/m for the smallest integer m giving h <= 0.05 (dx the spacing
     of x), plus the closed-form Euler-Maclaurin terms of the kink of rho at
     y = 0 (_kink_terms), for an O(h^6) error.  x must therefore be evenly
     spaced on a lattice through 0, and t >= 4 h^2 (ConfigError otherwise;
     there is no dense fallback).  Z_eval_quadrature is the independent panel
-    Gauss-Legendre oracle of the same integral, checked against this route
-    in checks.suite_identities.  Only derivative orders 0 and 1 are supported
-    in closed form.
+    Gauss-Legendre oracle of one order, checked in checks.suite_identities.
     """
     x = _z_args(x, t, p, derivative)
     if ps.c_alpha_plus == 0.0 and ps.c_alpha_minus == 0.0:
-        return np.zeros_like(x)
+        return np.zeros((derivative + 1, x.size))
 
     h, k = _z_lattice(x)
     rows = 2 + derivative
-    terms = _heat_lattice_terms(k, h, t, p, ps, rows) + _kink_terms(x, h, t, p, ps, rows)
-    w, wx = terms[0], terms[1]
+    w = _heat_lattice_terms(k, h, t, p, ps, rows) + _kink_terms(x, h, t, p, ps, rows)
 
-    b = 0.5 * p.beta * chi(x, t, p)
-    if derivative == 0:
-        return eta(x, t, p) * (wx + b * w)
-    b1 = 0.5 * p.beta * chi_x(x, t, p)
-    return eta(x, t, p) * (terms[2] + 2.0 * b * wx + (b1 + b * b) * w)
+    c, c1, _ = _chi_star_jet(x / math.sqrt(1.0 + t), p)
+    b = 0.5 * p.beta * (c / math.sqrt(1.0 + t))
+    e = eta(x, t, p)
+    z = [e * (w[1] + b * w[0])]
+    if derivative:
+        b1 = 0.5 * p.beta * (c1 / (1.0 + t))
+        z.append(e * (w[2] + 2.0 * b * w[1] + (b1 + b * b) * w[0]))
+    return np.array(z)
 
 
 _Z_PANEL_CAP = 5.0  # widest Z_eval_quadrature panel; its docstring bounds the error

@@ -205,8 +205,8 @@ def test_rate_ordering_and_window_stability(alpha15_bundle):
 @pytest.mark.slow
 def test_optimal_rate_report_on_main_scenario(alpha15_bundle):
     from bbmburgers.asymptotics import optimal_rate_report
-    report = optimal_rate_report(alpha15_bundle["traj"], alpha15_bundle["ps"],
-                                 window=WINDOW)
+    ps = alpha15_bundle["ps"]
+    report = optimal_rate_report(alpha15_bundle["series"], ps.params, ps, window=WINDOW)
     ok = report["band"]["status"] == "ok" and report["band"]["ratio_ok"] \
         and report["refinement"]["slope_ok"]
     assert _report("report: alpha=1.5 optimal-rate decision passes", ok,

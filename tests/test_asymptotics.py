@@ -61,7 +61,7 @@ class TestErrorSeries:
         z_series = series[("chi+Z", 0, "linf")]
         mask = np.abs(g.x) <= 0.8 * g.half_width
         for i, t in enumerate(times):
-            z_norm = np.abs(pr.Z_eval(g.x[mask], t, P, ps)).max()
+            z_norm = np.abs(pr.Z_eval(g.x[mask], t, P, ps)[0]).max()
             assert z_series.values[i] <= chi_series.values[i] + z_norm + 1e-12
 
     def test_unknown_combo_rejected(self):
@@ -172,11 +172,18 @@ class TestRateClaims:
 
 
 class TestOptimalRateReport:
+    @staticmethod
+    def _report(traj, ps, **kwargs):
+        # the report judges the linf series of every claimed combination
+        combos = asy.claimed_combos(traj.params.alpha)
+        series = asy.error_series_multi(traj, ps, combos, orders=(kwargs.get("l", 0),))
+        return asy.optimal_rate_report(series, traj.params, ps, **kwargs)
+
     def _wave_plus_z_traj(self, ps, times, g, p):
         def field(t):
             vals = pr.chi(g.x, t, p)
             if t > 0:
-                vals = vals + pr.Z_eval(g.x, t, p, ps)
+                vals = vals + pr.Z_eval(g.x, t, p, ps)[0]
             return vals
         return synthetic_trajectory(g, p, times, field)
 
@@ -185,7 +192,7 @@ class TestOptimalRateReport:
         ps = pr.constants(P, c_alpha=(1.0, -1.0))
         times = np.geomspace(1.0, 100.0, 15)
         traj = self._wave_plus_z_traj(ps, times, g, P)
-        report = asy.optimal_rate_report(traj, ps, window=(1.0, 100.0))
+        report = self._report(traj, ps, window=(1.0, 100.0))
         assert report["branch"] == "alpha_lt_2"
         assert report["band"]["status"] == "ok"
         assert report["band"]["ratio_ok"]
@@ -199,7 +206,7 @@ class TestOptimalRateReport:
         traj = synthetic_trajectory(
             g, p, times,
             lambda t: pr.chi(g.x, t, p) + 0.05 * np.exp(-g.x**2 / 4.0) / (1.0 + t))
-        report = asy.optimal_rate_report(traj, ps, window=(1.0, 100.0))
+        report = self._report(traj, ps, window=(1.0, 100.0))
         assert report["band"]["status"] == "not_applicable"
         assert report["refinement"]["status"] == "ok"
 
@@ -209,7 +216,7 @@ class TestOptimalRateReport:
         ps = pr.constants(p, c_alpha=(1.0, -1.0))
         traj = synthetic_trajectory(g, p, [1.0, 2.0], lambda t: np.zeros(g.n_points))
         with pytest.raises(HypothesisViolationError):
-            asy.optimal_rate_report(traj, ps)
+            self._report(traj, ps)
 
     def test_window_too_short_to_fit_is_not_judged(self):
         # one minimum for both: a window fit_rate refuses is not judged either
@@ -223,20 +230,20 @@ class TestOptimalRateReport:
         with pytest.raises(ConfigError, match=f"need >= {asy.MIN_FIT_SAMPLES}"):
             asy.fit_rate(asy.error_series_multi(traj, ps, ["chi"])[("chi", 0, "linf")],
                          short)
-        report = asy.optimal_rate_report(traj, ps, window=short)
+        report = self._report(traj, ps, window=short)
         for key in ("band", "refinement"):
             assert report[key]["status"] == "insufficient_samples"
             assert report[key]["n_samples"] == asy.MIN_FIT_SAMPLES - 1
         assert report["passed"] is False
         enough = (1.0, float(times[asy.MIN_FIT_SAMPLES - 1]))
-        assert asy.optimal_rate_report(traj, ps, window=enough)["band"]["status"] == "ok"
+        assert self._report(traj, ps, window=enough)["band"]["status"] == "ok"
 
     def test_exact_wave_flags_degenerate(self):
         g = make_grid(100.0, 1024)
         ps = pr.constants(P, c_alpha=(1.0, -1.0))
         times = np.geomspace(1.0, 100.0, 15)
         traj = synthetic_trajectory(g, P, times, lambda t: pr.chi(g.x, t, P))
-        report = asy.optimal_rate_report(traj, ps, window=(1.0, 100.0))
+        report = self._report(traj, ps, window=(1.0, 100.0))
         assert report["band"]["status"] == "degenerate"
         assert report["passed"] is False
 
@@ -249,7 +256,7 @@ class TestOptimalRateReport:
         def field(t):
             vals = pr.chi(g.x, t, P) + 0.01 * np.exp(-g.x**2 / 4.0) / (1.0 + t)
             if t > 0:
-                vals = vals + pr.Z_eval(g.x, t, P, ps)
+                vals = vals + pr.Z_eval(g.x, t, P, ps)[0]
             return vals
 
         traj = synthetic_trajectory(g, P, times, field)

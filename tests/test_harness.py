@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as spi
 
-from bbmburgers import ConfigError, NumericsError, make_grid
+from bbmburgers import ConfigError, HypothesisViolationError, NumericsError, make_grid
 from bbmburgers import asymptotics as asy
 from bbmburgers import checks, cli
 from bbmburgers import harness as hn
@@ -104,6 +104,31 @@ class TestMakeInitialData:
         assert abs(cp - 1.0) < 0.02
         assert abs(cm - 1.0) < 0.02
 
+    @pytest.mark.parametrize("beta, mass, alpha, c_plus, c_minus",
+                             [(1.0, 0.3, 1.5, 1.0, -1.0), (-2.0, -1.0, 1.1, 0.0, -2.0)])
+    def test_prescribed_r0_mass_error_at_production_spacing(self, beta, mass, alpha,
+                                                            c_plus, c_minus):
+        # u0 = chi_star + f', f = eta_star rho, and f vanishes at the box edges,
+        # so by Poisson summation dx sum(f') = sum over k != 0 of the transform
+        # of f' at 2 pi k / dx (chi_star, a Gaussian, aliases far below eps).
+        # Only the two smoothstep ramps of rho, of width w = _RAMP_WIDTH, reach
+        # that far: at each of their four ends f ~ A e^(-w/|x - x_p|), with
+        # A <= e max|c+-| max(1, e^(beta M/2)) (the smoothstep's e^(-1/s)/e^(-1)
+        # times max eta_star).  The saddle point of that transform at
+        # xi = 2 pi / dx gives |xi f^(xi)| ~ A sqrt(pi) w^(1/4) xi^(1/4)
+        # e^(-sqrt(2 w xi)) per end, counted at k = +-1; pairwise summation adds
+        # far less than 64 eps dx sum|u0| of round-off
+        s = tiny_scenario(data_kind="prescribed_r0", beta=beta, mass=mass, alpha=alpha,
+                          c_plus=c_plus, c_minus=c_minus, L=400.0, N=16384)
+        u0 = hn.make_initial_data(s)
+        dx, w = s.grid.dx, hn._RAMP_WIDTH
+        xi = 2.0 * math.pi / dx
+        amp = math.e * max(abs(c_plus), abs(c_minus)) * max(1.0, math.exp(0.5 * beta * mass))
+        aliasing = 8.0 * amp * math.sqrt(math.pi) * (w * xi) ** 0.25 * math.exp(
+            -math.sqrt(2.0 * w * xi))
+        roundoff = 64.0 * np.finfo(np.float64).eps * dx * np.abs(u0.values).sum()
+        assert hn.data_report(s, u0)["mass_error"] <= aliasing + roundoff
+
     def test_custom_table_roundtrip(self, tmp_path):
         s = tiny_scenario()
         u0 = hn.make_initial_data(s)
@@ -168,6 +193,48 @@ class TestRunExperiment:
         assert fits and all(fit["window_stability"] is not None for fit in fits.values())
         assert len(calls) == 2 * len(fits)
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("alpha, data, norms", [
+        (1.5, dict(data_kind="prescribed_r0", c_plus=1.0, c_minus=-1.0), ["linf"]),
+        (1.5, dict(data_kind="gaussian"), ["l2"]),
+        (2.0, dict(data_kind="prescribed_r0", c_plus=1.0, c_minus=1.0), ["l2"]),
+    ], ids=["tail", "no-tail-l2", "alpha2-l2"])
+    def test_rate_report_judges_the_run_series(self, alpha, data, norms):
+        # the report reuses the run's one series pass; judging fresh series of
+        # every claimed combination in linf must give the same report, also
+        # where the fits see l2 only
+        s = tiny_scenario(alpha=alpha, L=50.0, N=1024, norms=norms,
+                          derivative_orders=[0, 1],
+                          t_samples=list(np.geomspace(1.0, 36.0, 12)), **data)
+        bundle = hn.run_experiment(s, out_root=None)
+        ps = bundle["profile_set"]
+        fresh = asy.error_series_multi(bundle["trajectory"], ps,
+                                       asy.claimed_combos(alpha), orders=(0, 1))
+        for l in (0, 1):
+            try:
+                expected = asy.optimal_rate_report(fresh, s.params, ps, l=l)
+            except HypothesisViolationError as exc:
+                expected = {"status": "hypothesis_violation", "reason": str(exc)}
+            assert bundle["report"]["optimal_rate"][f"l{l}"] == expected
+        assert {nm for _, _, nm in bundle["series"]} == set(norms)
+
+    def test_one_z_evaluation_per_positive_sample(self, monkeypatch):
+        # Z and Z_x come from one Z_eval call per positive sample time, shared
+        # by the fits, the CSVs and the rate reports of both orders
+        calls = []
+        real = asy.Z_eval
+
+        def counting(x, t, p, ps, derivative=0):
+            calls.append((t, derivative))
+            return real(x, t, p, ps, derivative)
+
+        monkeypatch.setattr(asy, "Z_eval", counting)
+        times = [0.0] + list(np.geomspace(1.0, 36.0, 11))
+        s = tiny_scenario(alpha=1.5, data_kind="prescribed_r0", c_plus=1.0,
+                          c_minus=-1.0, L=50.0, N=1024, t_samples=times,
+                          derivative_orders=[0, 1])
+        hn.run_experiment(s, out_root=None)
+        assert calls == [(t, 1) for t in times[1:]]
 
     def test_step_counts_reported(self, flaky_march):
         flaky_march(1)
@@ -427,7 +494,7 @@ class TestCli:
         z = np.array([float(line.split(",")[4]) for line in lines[1:]])
         p = pr.ModelParams(1.0, 1.0, 1.5, 0.5)
         ps = pr.constants(p, c_alpha=(1.0, -0.5))
-        assert np.array_equal(z, pr.Z_eval(make_grid(40.0, 256).x, 3.0, p, ps))
+        assert np.array_equal(z, pr.Z_eval(make_grid(40.0, 256).x, 3.0, p, ps)[0])
 
     def test_verify_identities_suite(self, capsys):
         rc = cli.main(["verify", "--suite", "identities"])

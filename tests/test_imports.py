@@ -51,8 +51,13 @@ def test_bench_hooks_resolve():
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    pairs = [pair for hooks in spans.HOOKS.values() for pair in hooks]
-    assert pairs
-    for module, attr in pairs:
-        target = getattr(importlib.import_module(f"bbmburgers.{module}"), attr, None)
-        assert callable(target), f"bbmburgers.{module}.{attr}"
+    assert spans.HOOKS
+    for span, hooks in spans.HOOKS.items():
+        # each hooked attribute is the function its span is named after, so a
+        # caller that stops reaching it through the hook shows up here
+        home, _, name = span.rpartition(".")
+        origin = getattr(importlib.import_module(f"bbmburgers.{home}"), name)
+        assert callable(origin) and hooks, span
+        for module, attr in hooks:
+            target = getattr(importlib.import_module(f"bbmburgers.{module}"), attr, None)
+            assert target is origin, f"bbmburgers.{module}.{attr} is not {span}"

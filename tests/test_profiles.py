@@ -152,13 +152,15 @@ class TestZ:
     def test_zero_tails_give_zero(self):
         ps0 = pr.constants(P, c_alpha=(0.0, 0.0))
         x = np.linspace(-50, 50, 101)
-        assert np.all(pr.Z_eval(x, 5.0, P, ps0) == 0.0)
+        for derivative in (0, 1):
+            z = pr.Z_eval(x, 5.0, P, ps0, derivative=derivative)
+            assert z.shape == (derivative + 1, x.size) and np.all(z == 0.0)
 
     def test_linearity_in_tail_constants(self):
         x = np.linspace(-40, 40, 201)
-        base = pr.Z_eval(x, 7.0, P, self.ps)
+        base = pr.Z_eval(x, 7.0, P, self.ps, derivative=1)
         ps2 = pr.constants(P, c_alpha=(2.0, -2.0))
-        assert np.array_equal(pr.Z_eval(x, 7.0, P, ps2), 2.0 * base)
+        assert np.array_equal(pr.Z_eval(x, 7.0, P, ps2, derivative=1), 2.0 * base)
 
     def test_rejects_bad_time_and_alpha(self):
         with pytest.raises(ConfigError):
@@ -172,14 +174,14 @@ class TestZ:
         p0 = ModelParams(1.0, 1.0, 1.5, 0.0)
         ps = pr.constants(p0, c_alpha=(1.0, 1.0))
         x = np.linspace(-400.0, 400.0, 4097)
-        z = pr.Z_eval(x, 10.0, p0, ps)
+        z = pr.Z_eval(x, 10.0, p0, ps)[0]
         assert abs(np.trapezoid(z, x)) < 1e-7
 
     def test_integral_matches_boundary_term(self):
         # on a finite window the x-integral of Z equals [eta (G*rho)] at the ends
         t, X = 10.0, 300.0
         x = np.linspace(-X, X, 24001)
-        z = pr.Z_eval(x, t, P, self.ps)
+        z = pr.Z_eval(x, t, P, self.ps)[0]
         integral = np.trapezoid(z, x)
 
         def g_conv_rho(x0):
@@ -201,7 +203,7 @@ class TestZ:
         x = np.linspace(-400, 400, 4001)
         scaled = []
         for t in (10.0, 100.0, 1000.0):
-            z = pr.Z_eval(x, t, P, self.ps)
+            z = pr.Z_eval(x, t, P, self.ps)[0]
             scaled.append(np.abs(z).max() * (1.0 + t) ** (P.alpha / 2.0))
         assert max(scaled) / min(scaled) < 2.0
 
@@ -213,8 +215,7 @@ class TestZ:
         ps = pr.constants(p, c_alpha=c_alpha)
         x = np.linspace(-400.0, 400.0, 4001)  # dx = 0.2: lattice step dx/4
         for t in (1.0, 30.0):
-            for l in (0, 1):
-                z = pr.Z_eval(x, t, p, ps, derivative=l)
+            for l, z in enumerate(pr.Z_eval(x, t, p, ps, derivative=1)):
                 ref = pr.Z_eval_quadrature(x[::5], t, p, ps, derivative=l)
                 assert np.abs(z[::5] - ref).max() <= tol * np.abs(z).max()
 
@@ -245,8 +246,7 @@ class TestZ:
         J = math.ceil(pr._Z_KERNEL_REACH * math.sqrt(t) / h)
         n_rho = int(k.max() - k.min()) + 2 * J + 1
         assert 4096 < n_rho <= 4096 + 16
-        for l in (0, 1):
-            z = pr.Z_eval(x, t, P, self.ps, derivative=l)
+        for l, z in enumerate(pr.Z_eval(x, t, P, self.ps, derivative=1)):
             ref = pr.Z_eval_quadrature(x, t, P, self.ps, derivative=l)
             assert np.abs(z - ref).max() <= 1e-8 * np.abs(z).max()
 
@@ -265,6 +265,10 @@ class TestZ:
             three = pr._heat_lattice_terms(m * k, h / m, t, P, self.ps, 3)
             assert two.shape == (2, k.size)
             assert np.array_equal(two, three[:2])
+        # so the Z row of one derivative=1 call is the order-0 result, bit for bit
+        rows = pr.Z_eval(x, t, P, self.ps, derivative=1)
+        assert rows.shape == (2, x.size)
+        assert np.array_equal(rows[0], pr.Z_eval(x, t, P, self.ps)[0])
 
     def _lattice_terms(self, k, m, p=P, ps=None, kink=False):
         # w, w', w'' at t = 2 on the lattice of step 0.4 / m through the points k 0.4
@@ -310,8 +314,7 @@ class TestZ:
             for c_alpha in ((1.0, -1.0), (1.0, 1.0), (0.7, -0.2)):
                 ps = pr.constants(p, c_alpha=c_alpha)
                 for t in (1.0, 10.0, 100.0):
-                    for l in (0, 1):
-                        z = pr.Z_eval(x, t, p, ps, derivative=l)
+                    for l, z in enumerate(pr.Z_eval(x, t, p, ps, derivative=1)):
                         ref = pr.Z_eval_quadrature(x[::10], t, p, ps, derivative=l)
                         assert np.abs(z[::10] - ref).max() <= 1e-8 * np.abs(z).max(), (
                             alpha, c_alpha, t, l)
@@ -325,8 +328,7 @@ class TestZ:
         for c_alpha in ((1.0, -1.0), (1.0, 1.0)):
             ps = pr.constants(P, c_alpha=c_alpha)
             for t in (100.0, 354.0, 1000.0):
-                for l in (0, 1):
-                    z = pr.Z_eval(x, t, P, ps, derivative=l)
+                for l, z in enumerate(pr.Z_eval(x, t, P, ps, derivative=1)):
                     ref = pr.Z_eval_quadrature(x[::40], t, P, ps, derivative=l)
                     assert np.abs(z[::40] - ref).max() <= 1e-8 * np.abs(z).max(), (
                         c_alpha, t, l)
@@ -340,8 +342,8 @@ class TestZ:
         assert pr._z_lattice(np.array([x0]))[0] == pr._z_lattice(lattice)[0]
         for l in (0, 1):
             for t in (0.5, 5.0, 50.0):
-                z = pr.Z_eval(lattice, t, P, self.ps, derivative=l)
-                one = pr.Z_eval(np.array([x0]), t, P, self.ps, derivative=l)
+                z = pr.Z_eval(lattice, t, P, self.ps, derivative=l)[l]
+                one = pr.Z_eval(np.array([x0]), t, P, self.ps, derivative=l)[l]
                 assert one.shape == (1,)
                 assert abs(one[0] - z[i]) <= 1e-13 * np.abs(z).max()
 

@@ -578,3 +578,45 @@ class TestTransformLadder:
         for t in samples:
             near = np.abs(calls - t) < 1e-9
             assert np.all(calls[near] == t)
+
+
+class _BurgersFlow(sv._BbmbFlow):
+    """u_t + beta u u_x = u_xx: the full flow without the BBM smoothing and the
+    dispersion, whose exact self-similar solution is chi (Cole-Hopf)."""
+
+    def __init__(self, grid, p, dt_guard, threshold):
+        sv._Flow.__init__(self, grid, p, threshold)
+        self.dt_guard = dt_guard
+        self.linear = -(grid.xi_half**2) + 0.0j
+        self.mult = np.where(grid.dealias, -(0.5 * p.beta) * 1j * grid.xi_half_odd, 0.0)
+
+    def halved(self, grid, t):
+        return _BurgersFlow(grid, self.p, self.dt_guard, self.threshold)
+
+
+class TestBurgersLimit:
+    @pytest.mark.parametrize("beta, mass", [(1.0, 0.3), (-2.0, 0.5)])
+    def test_chi_start_tracks_the_exact_wave(self, beta, mass):
+        # the production stepper, step control and ladder on the Burgers flow,
+        # started from chi(., 0), against the exact chi(., t) on the whole line.
+        # Two errors remain, relative to max|chi(., t)|: the periodic image, the
+        # neighbouring copies of chi at distance 2L, at most
+        # e^(|beta M|/2) e^(-L^2/4(1+t)) at the box edge (chi_star's denominator
+        # moves its tails by up to e^(|beta M|/2) against the Gaussian); and the
+        # time steps, at most _RTOL of max|u| per accepted segment, summed over
+        # the segments so far without credit for the damping
+        p = ModelParams(beta, 1.0, 1.5, mass)
+        L = 100.0
+        grid = make_grid(L, 2048)
+        u0 = Field(grid, pr.chi(grid.x, 0.0, p))
+        # the convection term beta u u_x at the largest wavenumber inside the
+        # stability interval of ETD-RK4 on the imaginary axis, about 2.8
+        guard = 2.8 / (abs(beta) * np.abs(u0.values).max() * grid.xi_half.max())
+        times = np.geomspace(1.0, 156.0, 17)
+        traj = sv._run_trajectory(lambda thr: _BurgersFlow(grid, p, guard, thr),
+                                  u0, times, None)
+        for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+            exact = pr.chi(grid.x, t, p)
+            rel = np.abs(snap.values - exact).max() / np.abs(exact).max()
+            image = math.exp(0.5 * abs(beta * mass) - L * L / (4.0 * (1.0 + t)))
+            assert rel <= image + (i + 1) * sv._RTOL, (t, rel)
