@@ -174,18 +174,18 @@ def suite_oracles() -> list:
     out.append(CheckResult("beta=0 trajectory equals T(t)*u0 on t in [0,100]",
                            worst <= 1e-10, worst, 1e-10))
 
-    # linearized flow equals the U-operator representation
-    p = _params(mass=0.5)
+    # unforced linearized flow equals the U-operator representation
+    p = _params(gamma=0.0, mass=0.5)
     agrid = make_grid(60.0, 4096)
     z0_vals = 0.1 * (agrid.x / 2.0) * np.exp(-(agrid.x**2) / 4.0)
     z0 = Field(agrid, z0_vals - (agrid.dx * z0_vals.sum()) / (2.0 * agrid.half_width))
     ts = [1.0, 4.0, 16.0]
-    ztraj = sv.solve_aux(z0, None, p, ts)
+    ztraj = sv.solve_aux(z0, p, ts)
     worst = 0.0
     for t, snap in zip(ztraj.times, ztraj.snapshots):
         ref = sg.U_apply(z0, t, 0.0, p)
         worst = max(worst, float(np.abs(snap.values - ref.values).max()))
-    out.append(CheckResult("solve_aux(lambda=0) equals U[z0] at t in {1,4,16}",
+    out.append(CheckResult("solve_aux(gamma=0) equals U[z0] at t in {1,4,16}",
                            worst <= 1e-4, worst, 1e-4))
 
     # self-convergence of the exponential stepper

@@ -8,6 +8,7 @@ same place and must reproduce report.json byte for byte.
 import hashlib
 import json
 import math
+import numbers
 import os
 import shutil
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -41,6 +42,12 @@ __all__ = [
 
 _DATA_KINDS = ("gaussian", "power_tail", "prescribed_r0", "custom_table")
 
+
+def _is_int(v) -> bool:
+    # bool is an int subclass, but true/false is no grid size or order
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # the prescribed-r0 tail profile reaches its pure power law beyond this |x|
 # (well inside the required onset of 10; a short ramp keeps the primitive
 # mismatch near the origin small so the tail signal dominates early)
@@ -72,6 +79,14 @@ class Scenario:
         for nm in self.norms:
             if nm not in ("l2", "linf"):
                 raise ConfigError(f"unknown norm '{nm}'")
+        if not _is_int(self.N):
+            raise ConfigError(f"N must be an integer, got {self.N!r}")
+        orders = self.derivative_orders
+        if (not isinstance(orders, (list, tuple)) or not orders
+                or not all(_is_int(l) and l >= 0 for l in orders)
+                or len(set(orders)) != len(orders)):
+            raise ConfigError("derivative_orders must be a nonempty list of distinct "
+                              f"nonnegative integers, got {orders!r}")
 
     @property
     def params(self) -> ModelParams:
@@ -251,11 +266,13 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     c_detail = extract_c_alpha_detailed(r0, p)
     ps = constants(p, c_alpha=(c_detail["c_plus"], c_detail["c_minus"]))
 
-    traj = integrate(u0, p, t_samples)
-
     has_tail = ps.c_alpha_plus != 0.0 or ps.c_alpha_minus != 0.0
     combos = [c for c in asy.claimed_combos(s.alpha) if has_tail or c != "chi+Z"]
     orders = tuple(s.derivative_orders)
+    if "chi+Z" in combos and max(orders) > 1:
+        raise ConfigError("Z combinations support derivative orders 0 and 1 only")
+
+    traj = integrate(u0, p, t_samples)
     every = asy.error_series_multi(traj, ps, combos, orders=orders,
                                    norms=tuple(dict.fromkeys([*s.norms, "linf"])))
     series = {key: es for key, es in every.items() if key[2] in s.norms}

@@ -26,9 +26,9 @@ Each adaptive segment marches on the smallest grid its spectrum needs.  Before
 the segment, the trajectory halves N, never below 16, while the modes of the
 state at and above the half grid's 2/3-rule band edge, k >= (N/2)/3, hold at
 most _LADDER_FLOOR = _ROUNDOFF**2 of its energy; for the linearized flows the
-same test covers chi and the forcing spectrum at the segment start.  Those are
-chi_star and its derivatives at x / sqrt(1 + t), so their spectra only narrow
-in time, as sup|chi| only falls.  The grid is never refined: a state that
+same test covers chi and, at gamma != 0, the forcing spectrum at the segment
+start.  Those are chi_star and its derivatives at x / sqrt(1 + t), so their
+spectra only narrow in time, as sup|chi| only falls.  The grid is never refined: a state that
 fills the coarse grid again trips its Nyquist guard (InstabilityError).  The
 step h and the blow-up sentinel per grid point carry across a switch, and the
 fixed-dt route stays on the full grid.
@@ -43,7 +43,7 @@ exponential, |(uv)_k| <= A B (|k| + 1 + 2/(e^{2s} - 1)) e^{-s|k|}, so beyond
 the band a product is its factors' own tails times an amplitude and a mode
 count, and the linear part damps what it forces there.  (TestTransformLadder
 finds laddered and full-grid runs 1e-17 apart.)  The coarse state is the fine one
-truncated to the coarse modes, its Nyquist mode zeroed, and chi and a user
+truncated to the coarse modes, its Nyquist mode zeroed, and chi and the
 forcing are evaluated on the coarse x, the full x[::2].  Each snapshot is the
 coarse state zero-padded back to the full grid: its trigonometric interpolant.
 """
@@ -472,21 +472,20 @@ def integrate(
 # Linearized problems around the diffusion wave
 
 class _AuxFlow(_Flow):
-    """The linearized flow on one grid: the heat part, convection and forcing as
-    the stage, and the convection guard (xi chi is unbounded in xi) from rate =
-    |beta| sup|chi_star| xi_max, with xi_max of the full grid.
+    """The linearized flow on one grid: the heat part, convection and the forcing
+    -gamma chi_xxx as the stage, and the convection guard (xi chi is unbounded in
+    xi) from rate = |beta| sup|chi_star| xi_max, with xi_max of the full grid.
 
-    profiles(x, t) returns chi and the forcing values (or None) at x and t.  A
-    step's stage times are t, t + h/2, t + h, the last the next step's first; a
+    A step's stage times are t, t + h/2, t + h, the last the next step's first; a
     coarse step runs after the first fine step it spans, at the fine times t,
     t + h, t + 2h.  So a cache of the three stage times last used, each holding
-    chi and the forcing's spectrum dxi rfft(lam), evaluates both once per
-    distinct fine stage time.  seed, a (t, entry) pair, starts the cache."""
+    chi and the forcing's spectrum dxi rfft(-gamma chi_xx) (None at gamma = 0),
+    evaluates both once per distinct fine stage time, from one chi_star
+    evaluation.  seed, a (t, entry) pair, starts the cache."""
 
-    def __init__(self, grid: GridSpec, p: ModelParams, profiles, rate: float,
+    def __init__(self, grid: GridSpec, p: ModelParams, rate: float,
                  threshold: float, seed=None):
         super().__init__(grid, p, threshold)
-        self.profiles = profiles
         self.rate = rate
         self.linear = -(grid.xi_half**2) + 0.0j
         self.conv = -p.beta * np.where(grid.dealias, 1j * grid.xi_half_odd, 0.0)
@@ -498,9 +497,13 @@ class _AuxFlow(_Flow):
         if entry is None:
             if len(self.cache) == 3:
                 del self.cache[next(iter(self.cache))]
-            chi_t, lam_t = self.profiles(self.grid.x, t)
-            forcing = None if lam_t is None else self.dxi * np.fft.rfft(lam_t)
-            entry = (chi_t, forcing)
+            if self.p.gamma == 0.0:
+                entry = (chi(self.grid.x, t, self.p), None)
+            else:
+                chi_t, chi_xx_t = chi_and_chi_xx(self.grid.x, t, self.p)
+                lam_t = -self.p.gamma * chi_xx_t
+                del chi_xx_t  # not held through the transform
+                entry = (chi_t, self.dxi * np.fft.rfft(lam_t))
         self.cache[t] = entry
         return entry
 
@@ -526,38 +529,21 @@ class _AuxFlow(_Flow):
         chi_t, forcing = self.at(t)
         forcing = None if forcing is None else _halve_spectrum(forcing)
         entry = (chi_t[::2].copy(), forcing)
-        return _AuxFlow(grid, self.p, self.profiles, self.rate, self.threshold,
-                        (t, entry))
+        return _AuxFlow(grid, self.p, self.rate, self.threshold, (t, entry))
 
 
-class _WaveForcing:
-    """The dispersive forcing lam(x, t) = -gamma chi_xx(x, t) of solve_second_aux,
-    which solve_aux reads with chi from one chi_star evaluation per time."""
-
-    def __init__(self, p: ModelParams):
-        self.p = p
-
-    def profiles(self, x, t):
-        chi_t, chi_xx_t = chi_and_chi_xx(x, t, self.p)
-        return chi_t, -self.p.gamma * chi_xx_t
-
-
-def solve_aux(
-    z0: Field,
-    lam,
-    p: ModelParams,
-    t_samples,
-) -> Trajectory:
-    """Linear convection-diffusion around the wave: z_t + (beta chi z)_x - z_xx = lam_x.
+def solve_aux(z0: Field, p: ModelParams, t_samples) -> Trajectory:
+    """The second auxiliary problem around the wave from z0:
+    z_t + (beta chi z)_x - z_xx = -gamma chi_xxx, unforced at gamma = 0.
 
     The heat part is exact per step; the convection term and the forcing are
-    advanced by the exponential stages.  lam is a callable (x, t) -> values of
-    the forcing at the points x, or None; a coarse segment passes its coarse x,
-    the full x[::2^k].  chi (analytic) and lam are evaluated once per distinct
-    fine stage time of a trial (the coarse steps use fine stage times, and the
-    three last used are kept: 384 KB at N = 8192), so a segment of n accepted
-    steps without a rejected trial evaluates them at most 2 n + 1 times, the
-    ladder's test at the segment start included.
+    advanced by the exponential stages.  chi and the forcing come from one
+    chi_star evaluation per distinct fine stage time of a trial, on the
+    segment's grid (the coarse steps use fine stage times, and the three last
+    used are kept: 384 KB at N = 8192), so a segment of n accepted steps without
+    a rejected trial evaluates them at most 2 n + 1 times, the ladder's test at
+    the segment start included.  The forced flow needs |mass| <= 1 (the wave
+    decay estimates); ConfigError otherwise.
     Steps are chosen as in integrate, with the convection guard (xi chi is
     unbounded in xi) as the cap.  The guard of each segment uses
     sup|chi(., t)| = sup|chi_star| / sqrt(1 + t) at the segment's start, which
@@ -565,25 +551,13 @@ def solve_aux(
     non-increasing in t; the cap thus grows like sqrt(1 + t).
     """
     ts = _check_samples(z0.grid, t_samples)
+    if p.gamma != 0.0 and abs(p.mass) > 1.0:
+        raise ConfigError("|mass| <= 1 required by the wave decay estimates")
     g = z0.grid
-    if isinstance(lam, _WaveForcing):
-        profiles = lam.profiles
-    else:
-        def profiles(x, t):
-            return chi(x, t, p), None if lam is None else np.asarray(lam(x, t))
     rate = abs(p.beta) * chi_star_sup(p) * g.xi_half[-1]
-    return _run_trajectory(lambda thr: _AuxFlow(g, p, profiles, rate, thr), z0, ts, None)
+    return _run_trajectory(lambda thr: _AuxFlow(g, p, rate, thr), z0, ts, None)
 
 
 def solve_second_aux(p: ModelParams, grid: GridSpec, t_samples) -> Trajectory:
-    """Zero-data flow forced by the dispersive tail of the wave:
-    v_t + (beta chi v)_x - v_xx = -gamma chi_xxx, v(0) = 0.
-
-    Each stage time's chi and forcing -gamma chi_xx come from one chi_star
-    evaluation, bit-identical to solve_aux with lam(x, t) = -gamma chi_xx(x, t).
-    """
-    if abs(p.mass) > 1.0:
-        raise ConfigError("|mass| <= 1 required by the wave decay estimates")
-    z0 = Field(grid, np.zeros(grid.n_points))
-    lam = _WaveForcing(p) if p.gamma != 0.0 else None
-    return solve_aux(z0, lam, p, t_samples)
+    """v = solve_aux from v(0) = 0: the flow forced by the wave's dispersive tail."""
+    return solve_aux(Field(grid, np.zeros(grid.n_points)), p, t_samples)

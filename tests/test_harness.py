@@ -60,6 +60,30 @@ class TestScenario:
         with pytest.raises(ConfigError):
             tiny_scenario(data_kind="nonsense")
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", 1024.0), ("N", "1024"), ("N", True),
+        ("derivative_orders", []), ("derivative_orders", [0, 0]),
+        ("derivative_orders", [0.5]), ("derivative_orders", [-1]),
+        ("derivative_orders", [1.0]), ("derivative_orders", [True]),
+        ("derivative_orders", 0),
+    ])
+    def test_malformed_integers_rejected(self, tmp_path, capsys, key, value):
+        doc = json.loads(tiny_scenario().canonical_json())
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
+            hn.scenario_from_json(doc)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+
+    def test_valid_scenarios_keep_their_hash(self):
+        # pinned: a valid document hashes as it did before its integers were checked
+        assert hn.scenario_hash(tiny_scenario()) == "1004430e961b"
+        s = tiny_scenario(derivative_orders=[1, 0], N=2048)
+        assert hn.scenario_hash(hn.scenario_from_json(s.canonical_json())) == "41054f1e1a82"
+
     def test_default_samples_span_validity_window(self):
         ts = hn.default_t_samples(make_grid(400.0, 16384))
         assert ts.size == 32
@@ -327,6 +351,25 @@ class TestRunExperiment:
         assert cli.main(["simulate", "--config", str(cfg), "--out",
                          str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_z_orders_above_one_refused_up_front(self, tmp_path, monkeypatch, capsys):
+        # the Z profile has orders 0 and 1 only; a tail run asking for order 2
+        # is refused before integrating, not after
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a scenario whose Z fits cannot run")
+
+        monkeypatch.setattr(hn, "integrate", no_integration)
+        s = hn.Scenario(name="z-order", beta=1.0, gamma=1.0, alpha=1.5, mass=0.3,
+                        data_kind="prescribed_r0", c_plus=1.0, c_minus=-1.0,
+                        L=50.0, N=1024, t_samples=list(np.geomspace(1.0, 30.0, 9)),
+                        derivative_orders=[0, 2])
+        with pytest.raises(ConfigError, match="orders 0 and 1 only"):
+            hn.run_experiment(s, out_root=None)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(s.canonical_json())
+        assert cli.main(["simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        assert "orders 0 and 1 only" in capsys.readouterr().err
 
     def test_short_run_reports_insufficient_samples(self):
         # 3 samples: fit_rate refuses every window, so the rate report judges none

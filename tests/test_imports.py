@@ -4,8 +4,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import bbmburgers
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench")
 # scipy subpackages the production path must not load; only the oracle routes
 # (checks.suite_identities, helmholtz_inv_direct, U_apply, fM_check) import
 # scipy.integrate or scipy.interpolate, and only when they are called
@@ -43,14 +47,19 @@ def test_production_path_loads_no_heavy_scipy():
     assert out.stdout.strip() == ""
 
 
+def _bench_module(name):
+    """perfbench/<name>.py, loaded from its path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_hooks_resolve():
     # the benchmark's tracer wraps these attributes by name; a renamed target
     # would otherwise surface only in the benchmark's own smoke run
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "spans.py")
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans")
     assert spans.HOOKS
     for span, hooks in spans.HOOKS.items():
         # each hooked attribute is the function its span is named after, so a
@@ -61,3 +70,24 @@ def test_bench_hooks_resolve():
         for module, attr in hooks:
             target = getattr(importlib.import_module(f"bbmburgers.{module}"), attr, None)
             assert target is origin, f"bbmburgers.{module}.{attr} is not {span}"
+
+
+wls = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", [n for n, w in wls.WORKLOADS.items() if w.pinned])
+def test_bench_smoke_routes_reproduce_reference(name, tmp_path):
+    # every smoke variant of a pinned workload, run in process as the benchmark's
+    # worker runs it: a signature or numerics drift in what it calls shows here
+    # rather than only in a benchmark run
+    wl, null = wls.WORKLOADS[name], _bench_module("spans").NullTracer()
+    reference = wls.load_reference()
+    for variant in range(wls.N_VARIANTS):
+        inputs = wl.inputs(bbmburgers, "smoke", variant)
+        entry = reference[wls.reference_key(name, "smoke", variant)]
+        assert entry["params"] == wls.describe(inputs), variant
+        result = wl.run(bbmburgers, inputs, null, str(tmp_path / f"v{variant}"))
+        problems = wl.check(bbmburgers, inputs, result, {})
+        _, more = wls.exponent_shift(wl.exponents(bbmburgers, result),
+                                     entry["exponents"])
+        assert not problems + more, (variant, problems + more)

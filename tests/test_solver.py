@@ -153,55 +153,69 @@ class TestIntegrate:
         assert abs(slope_l2 - (-0.25)) <= 0.1
 
 
+def counting_chi_and_chi_xx(monkeypatch):
+    """The times at which the solver evaluates chi_and_chi_xx, in call order."""
+    calls = []
+    real = sv.chi_and_chi_xx
+
+    def counted(x, t, p):
+        calls.append(t)
+        return real(x, t, p)
+
+    monkeypatch.setattr(sv, "chi_and_chi_xx", counted)
+    return calls
+
+
 class TestSolveAux:
     def test_zero_everything(self, grid60):
         z0 = Field(grid60, np.zeros(grid60.n_points))
-        traj = sv.solve_aux(z0, None, P, [1.0, 4.0])
+        traj = sv.solve_aux(z0, ModelParams(1.0, 0.0, 1.5, 0.3), [1.0, 4.0])
         assert all(np.all(s.values == 0.0) for s in traj.snapshots)
 
     def test_heat_reduction_at_zero_mass(self):
-        p0 = ModelParams(1.0, 1.0, 1.5, 0.0)
+        p0 = ModelParams(1.0, 0.0, 1.5, 0.0)
         g = make_grid(60.0, 1024)
         vals = 0.1 * np.exp(-g.x**2 / 4.0)
         z0 = Field(g, vals - vals.mean())
-        traj = sv.solve_aux(z0, None, p0, [1.0, 4.0])
+        traj = sv.solve_aux(z0, p0, [1.0, 4.0])
         for t, snap in zip(traj.times, traj.snapshots):
             ref = sg.G_apply(z0, t)
             assert np.abs(snap.values - ref.values).max() < 1e-10
 
     def test_matches_u_operator(self):
         # Lemma-level oracle at moderate resolution; acceptance runs it finer
-        p = ModelParams(1.0, 1.0, 1.5, 0.5)
+        p = ModelParams(1.0, 0.0, 1.5, 0.5)
         g = make_grid(60.0, 4096)
         vals = 0.1 * (g.x / 2.0) * np.exp(-g.x**2 / 4.0)
         z0 = Field(g, vals - g.dx * vals.sum() / (2 * g.half_width))
-        traj = sv.solve_aux(z0, None, p, [1.0, 4.0])
+        traj = sv.solve_aux(z0, p, [1.0, 4.0])
         for t, snap in zip(traj.times, traj.snapshots):
             ref = sg.U_apply(z0, t, 0.0, p)
             assert np.abs(snap.values - ref.values).max() < 1e-4
 
-    def test_forcing_mass_neutral(self, grid60):
-        z0 = Field(grid60, np.zeros(grid60.n_points))
-
-        def lam(x, t):
-            return 0.05 * np.exp(-x**2 / 2.0) / (1.0 + t)
-
-        traj = sv.solve_aux(z0, lam, P, [1.0, 3.0])
-        assert np.abs(traj.mass_log).max() < 1e-12
+    def test_superposition_of_data_and_forcing(self, grid60):
+        # the problem is linear: the forced flow from z0 is the unforced flow from
+        # z0 plus the forced flow from zero data.  Each of the three runs leaves
+        # at most its tolerance, (_RTOL + _ROUNDOFF) of its max, per segment,
+        # which the flow does not amplify
+        p = ModelParams(1.0, 1.0, 3.0, 0.5)
+        z0 = Field(grid60, 0.05 * np.exp(-(grid60.x - 2.0) ** 2 / 4.0))
+        times = [1.0, 2.0, 4.0, 8.0]
+        runs = (sv.solve_aux(z0, p, times),
+                sv.solve_aux(z0, ModelParams(1.0, 0.0, 3.0, 0.5), times),
+                sv.solve_second_aux(p, grid60, times))
+        for i, (a, b, c) in enumerate(zip(*(r.snapshots for r in runs))):
+            peak = max(np.abs(s.values).max() for s in (a, b, c))
+            gap = np.abs(a.values - b.values - c.values).max()
+            assert gap <= 3 * (i + 1) * (sv._RTOL + sv._ROUNDOFF) * peak
 
     def test_forcing_evaluated_once_per_stage_time(self, grid60, monkeypatch):
         # a step's four stages share three times, the last one with the next step,
         # and every coarse stage time is a fine one: 2 n + 1 distinct times for n
         # fine steps, the ladder's lookup at the segment start included.
-        # Count the forcing calls up to the end of each segment's doubling (a
+        # Count the wave's evaluations up to the end of each segment's doubling (a
         # rejected trial re-marches, so only segments without one are bounded)
-        z0 = Field(grid60, np.zeros(grid60.n_points))
-        calls, ends = [], []
-
-        def lam(x, t):
-            calls.append(t)
-            return 0.05 * np.exp(-x**2 / 2.0) / (1.0 + t)
-
+        calls, ends = counting_chi_and_chi_xx(monkeypatch), []
         real = sv._Flow.doubling
 
         def doubling(self, *args):
@@ -210,7 +224,7 @@ class TestSolveAux:
             return out
 
         monkeypatch.setattr(sv._Flow, "doubling", doubling)
-        traj = sv.solve_aux(z0, lam, P, [1.0, 2.0, 4.0])
+        traj = sv.solve_second_aux(P, grid60, [1.0, 2.0, 4.0])
         per_segment = np.diff([0] + ends)
         assert len(per_segment) == len(traj.step_stats)
         clean = [(seg, n) for seg, n in zip(traj.step_stats, per_segment)
@@ -230,21 +244,6 @@ class TestSolveSecondAux:
         p = ModelParams(1.0, 1.0, 1.5, 0.5)
         traj = sv.solve_second_aux(p, grid60, [1.0, 4.0])
         assert np.abs(traj.mass_log).max() < 1e-12
-
-    @pytest.mark.parametrize("beta", [1.0, 0.9])
-    def test_matches_public_forcing_route(self, grid60, beta):
-        # one chi_star evaluation per stage time gives the bits of lam = -gamma chi_xx
-        p = ModelParams(beta, 1.0, 3.0, 0.5)
-        z0 = Field(grid60, np.zeros(grid60.n_points))
-
-        def lam(x, t):
-            return -p.gamma * pr.chi_and_chi_xx(x, t, p)[1]
-
-        ref = sv.solve_aux(z0, lam, p, [1.0, 4.0])
-        traj = sv.solve_second_aux(p, grid60, [1.0, 4.0])
-        assert traj.step_stats == ref.step_stats
-        for a, b in zip(traj.snapshots, ref.snapshots):
-            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 
     @pytest.mark.parametrize("gamma, mass", [(1.0, 0.5), (-0.7, 0.3)])
     def test_beta_zero_matches_exact_solution(self, gamma, mass):
@@ -270,8 +269,14 @@ class TestSolveSecondAux:
         assert max(errs) <= tol * max(peaks)
 
     def test_large_mass_rejected(self, grid60):
-        with pytest.raises(ConfigError):
-            sv.solve_second_aux(ModelParams(1.0, 1.0, 1.5, 1.5), grid60, [1.0])
+        p = ModelParams(1.0, 1.0, 1.5, 1.5)
+        with pytest.raises(ConfigError, match="mass"):
+            sv.solve_second_aux(p, grid60, [1.0])
+        # the forced flow refuses it from any data; the unforced flow needs no bound
+        z0 = gaussian_data(grid60, 0.01)
+        with pytest.raises(ConfigError, match="mass"):
+            sv.solve_aux(z0, p, [1.0])
+        sv.solve_aux(z0, ModelParams(1.0, 0.0, 1.5, 1.5), [1.0])
 
     def test_convection_guard_follows_decaying_wave(self, grid60):
         # the coarse step is capped per segment by max|chi| at its start, so late
@@ -472,7 +477,7 @@ class TestLockstepTrial:
         # the coarse stage times are the fine march's accumulated times, which
         # may differ from the coarse march's own by an ulp
         p = ModelParams(1.0, 1.0, 3.0, 0.5)
-        flow = sv._AuxFlow(grid60, p, sv._WaveForcing(p).profiles, 0.0, math.inf)
+        flow = sv._AuxFlow(grid60, p, 0.0, math.inf)
         uhat = np.fft.rfft(0.01 * grid60.x * np.exp(-grid60.x**2 / 4.0))
         fine, coarse = sv._tableaux(flow.linear, 0.03, True)
         fine_hat, coarse_hat = flow.march(uhat, 1.1, 14, fine, coarse)
@@ -561,19 +566,12 @@ class TestTransformLadder:
             else:
                 sv.solve_second_aux(ModelParams(1.0, 1.0, 3.0, 0.5), grid60, [1.0, 2.0])
 
-    def test_segments_end_at_sample_times(self, grid60):
+    def test_segments_end_at_sample_times(self, grid60, monkeypatch):
         # the last fine step of a segment ends at the sample time itself, so the
         # next segment's first stage finds it in the cache
-        p = ModelParams(1.0, 1.0, 3.0, 0.5)
-        calls = []
-
-        def lam(x, t):
-            calls.append(t)
-            return -p.gamma * pr.chi_and_chi_xx(x, t, p)[1]
-
-        z0 = Field(grid60, np.zeros(grid60.n_points))
+        calls = counting_chi_and_chi_xx(monkeypatch)
         samples = np.geomspace(1.0, 8.0, 6)
-        sv.solve_aux(z0, lam, p, samples)
+        sv.solve_second_aux(ModelParams(1.0, 1.0, 3.0, 0.5), grid60, samples)
         calls = np.asarray(calls)
         for t in samples:
             near = np.abs(calls - t) < 1e-9

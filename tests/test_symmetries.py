@@ -16,13 +16,22 @@ Tolerances sit two to three orders of magnitude above the measured round-off
 6e-17 at |u| <= 0.15).  The flip is exact for chi, Z and the solution; V
 carries d, whose vectorized cube is not odd to the last bit, so its flip is
 exact only to round-off.
+
+Below the normal range these relative bounds underflow: at gamma = 2.2e-308,
+max|V| is 7e-313 and 1e-12 max|V| rounds to 0, while the two sides miss by
+an ulp.  There the spacing of the doubles is the smallest subnormal TINY, each
+rounded product or quotient errs by at most TINY / 2 and sums are exact, so
+each bound gets the floor below_normal(n, growth): n rounded operations per
+side on the path of one value, on both sides, grown by at most growth by the
+factors applied after them.  The floor sits below 1e-12 max|.| whenever that
+is a normal double, so it leaves those bounds as they were.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbmburgers import Field, ModelParams, harness, make_grid
@@ -30,6 +39,25 @@ from bbmburgers import profiles as pr
 from bbmburgers import solver as sv
 
 X = 0.25 * np.arange(-80, 81)  # symmetric lattice through 0: X[::-1] == -X
+TINY = np.finfo(np.float64).smallest_subnormal
+
+# V = (-kappa d log1p(t) / (1 + t)) V_star with kappa = beta^2 gamma / 8: the
+# products by gamma, d, log1p(t) and V_star and the quotients by 8 and 1 + t.
+# Each later factor is at most 1 in size (|d| < 0.08, log1p(t)/(1 + t) < 1/e and
+# |V_star| < 0.22 for |beta| <= 2, |M| <= 1), so growth is 1
+V_ROUNDED = 6
+# Z = eta (w' + b w) and Z_x = eta (w'' + 2 b w' + (b' + b^2) w): per row of w
+# the irfft's 1/n and the kink terms' last product, then the products by b
+# (one for Z, two for Z_x) and by eta, at most e^{|beta M|/2}, the growth.
+# Searches at c+- and gamma near 2.2e-308 found misses of up to 1 TINY for V,
+# 3 for Z and 7 for Z_x, under these floors
+Z_ROUNDED = (2 * 2 + 2, 3 * 2 + 3)
+
+
+def below_normal(n_rounded, growth=1.0):
+    """The floor of a two-sided bound below the normal range: n_rounded
+    half-ulp roundings per side, grown by at most growth."""
+    return 2 * n_rounded * 0.5 * growth * TINY
 
 
 def _coef(bound):
@@ -39,11 +67,20 @@ def _coef(bound):
 PROFILE_CASES = dict(beta=_coef(2.0), gamma=_coef(2.0), mass=_coef(1.0),
                      c_plus=_coef(2.0), c_minus=_coef(2.0),
                      alpha=st.floats(1.05, 2.0), t=st.floats(0.5, 50.0))
+# below the normal range: V at the smallest normal gamma, Z and Z_x at the
+# smallest normal tail limits
+NORMAL_MIN = np.finfo(np.float64).tiny
+SUBNORMAL_V = dict(beta=1.0, gamma=NORMAL_MIN, mass=0.3, c_plus=0.0, c_minus=0.0,
+                   alpha=1.5, t=3.0)
+SUBNORMAL_Z = dict(beta=-2.0, gamma=NORMAL_MIN, mass=-1.0, c_plus=0.0,
+                   c_minus=NORMAL_MIN, alpha=2.0, t=38.0857734021721)
 
 
 class TestSignFlip:
     @settings(max_examples=30, deadline=None)
     @given(**PROFILE_CASES)
+    @example(**SUBNORMAL_V)
+    @example(**SUBNORMAL_Z)
     def test_profiles(self, beta, gamma, mass, c_plus, c_minus, alpha, t):
         p = ModelParams(beta, gamma, alpha, mass)
         q = ModelParams(-beta, gamma, alpha, -mass)
@@ -53,7 +90,8 @@ class TestSignFlip:
         z = pr.Z_eval(X, t, p, ps, derivative=1)
         assert np.array_equal(pr.Z_eval(X, t, q, qs, derivative=1), -z)
         v = pr.V(X, t, p, ps)
-        assert np.abs(pr.V(X, t, q, qs) + v).max() <= 1e-13 * np.abs(v).max()
+        bound = max(1e-13 * np.abs(v).max(), below_normal(V_ROUNDED))
+        assert np.abs(pr.V(X, t, q, qs) + v).max() <= bound
 
     @settings(max_examples=15, deadline=None)
     @given(beta=_coef(2.0), gamma=_coef(2.0), amp=_coef(0.15),
@@ -71,6 +109,8 @@ class TestSignFlip:
 class TestReflection:
     @settings(max_examples=30, deadline=None)
     @given(**PROFILE_CASES)
+    @example(**SUBNORMAL_V)
+    @example(**SUBNORMAL_Z)
     def test_profiles_and_constants(self, beta, gamma, mass, c_plus, c_minus, alpha, t):
         p = ModelParams(beta, gamma, alpha, mass)
         q = ModelParams(-beta, -gamma, alpha, mass)
@@ -85,11 +125,14 @@ class TestReflection:
 
         assert np.abs(pr.chi(X, t, q)[::-1] - pr.chi(X, t, p)).max() <= 1e-14
         v = pr.V(X, t, p, ps)
-        assert np.abs(pr.V(X, t, q, qs)[::-1] - v).max() <= 1e-12 * np.abs(v).max()
+        bound = max(1e-12 * np.abs(v).max(), below_normal(V_ROUNDED))
+        assert np.abs(pr.V(X, t, q, qs)[::-1] - v).max() <= bound
         zq = pr.Z_eval(X, t, q, qs, derivative=1)
         for l, z in enumerate(pr.Z_eval(X, t, p, ps, derivative=1)):
             mirrored = (-1) ** l * zq[l][::-1]
-            assert np.abs(mirrored - z).max() <= 1e-12 * np.abs(z).max()
+            floor = below_normal(Z_ROUNDED[l], math.exp(0.5 * abs(beta * mass)))
+            bound = max(1e-12 * np.abs(z).max(), floor)
+            assert np.abs(mirrored - z).max() <= bound
 
     @settings(max_examples=15, deadline=None)
     @given(beta=_coef(2.0), gamma=_coef(2.0), amp=_coef(0.15),
