@@ -54,9 +54,12 @@ class GridSpec:
     x : ndarray
         Grid points -L + j*dx, j = 0..N-1 (read-only).
     xi : ndarray
-        Wavenumbers pi*k/L for k in [-N/2, N/2), FFT ordering (read-only).
+        Wavenumbers pi*k/L for k in [-N/2, N/2), FFT ordering, made on each
+        access: only the direct oracles use the full spectrum, and a held
+        copy costs two full-length arrays per grid.
     xi_odd : ndarray
-        xi with the Nyquist mode zeroed, for odd powers of (i*xi).
+        xi with the Nyquist mode zeroed, for odd powers of (i*xi), made on
+        each access.
     xi_half, xi_half_odd : ndarray
         The same on the half spectrum of np.fft.rfft, k = 0..N/2 (the
         Nyquist wavenumber is positive here).
@@ -66,8 +69,8 @@ class GridSpec:
         The complement of dealias, where resolution loss shows first.
     """
 
-    __slots__ = ("half_width", "n_points", "dx", "x", "xi", "xi_odd", "xi_half",
-                 "xi_half_odd", "dealias", "nyquist_band")
+    __slots__ = ("half_width", "n_points", "dx", "x", "xi_half", "xi_half_odd",
+                 "dealias", "nyquist_band")
 
     def __init__(self, half_width: float, n_points: int):
         if not (half_width > 0):
@@ -80,23 +83,28 @@ class GridSpec:
         self.n_points = N
         self.dx = 2.0 * L / N
         x = -L + self.dx * np.arange(N)
-        xi = 2.0 * np.pi * np.fft.fftfreq(N, d=self.dx)
-        xi_odd = xi.copy()
-        xi_odd[N // 2] = 0.0
         xi_half = 2.0 * np.pi * np.fft.rfftfreq(N, d=self.dx)
         xi_half_odd = xi_half.copy()
         xi_half_odd[-1] = 0.0
         dealias = np.arange(xi_half.size) < (N // 3)
         nyquist_band = ~dealias
-        for arr in (x, xi, xi_odd, xi_half, xi_half_odd, dealias, nyquist_band):
+        for arr in (x, xi_half, xi_half_odd, dealias, nyquist_band):
             arr.setflags(write=False)
         self.x = x
-        self.xi = xi
-        self.xi_odd = xi_odd
         self.xi_half = xi_half
         self.xi_half_odd = xi_half_odd
         self.dealias = dealias
         self.nyquist_band = nyquist_band
+
+    @property
+    def xi(self):
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+
+    @property
+    def xi_odd(self):
+        xi = self.xi
+        xi[self.n_points // 2] = 0.0
+        return xi
 
     def deriv(self, values, l: int):
         """Spectral derivative of order l of real samples on this grid.

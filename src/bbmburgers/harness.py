@@ -254,7 +254,6 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     no fit window, up front; samples beyond the validity window from integrate)
     and propagates solver errors with the failing stage named.
     """
-    grid = s.grid
     p = s.params
     t_samples = s.samples()
     window = asy.default_window(t_samples)
@@ -262,8 +261,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     u0 = make_initial_data(s)
     dreport = data_report(s, u0)
 
-    r0 = r0_eval(u0, p)
-    c_detail = extract_c_alpha_detailed(r0, p)
+    c_detail = extract_c_alpha_detailed(r0_eval(u0, p), p)
     ps = constants(p, c_alpha=(c_detail["c_plus"], c_detail["c_minus"]))
 
     has_tail = ps.c_alpha_plus != 0.0 or ps.c_alpha_minus != 0.0
@@ -364,7 +362,7 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
         with open(snap_path, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, {
                 "descr": "<f8", "fortran_order": False,
-                "shape": (len(traj.snapshots), grid.n_points)})
+                "shape": (len(traj.snapshots), traj.grid.n_points)})
             for snap in traj.snapshots:
                 snap.values.astype("<f8", copy=False).tofile(fh)
         paths["snapshots"] = snap_path

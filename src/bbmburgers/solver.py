@@ -11,11 +11,13 @@ multiplier, its stage nl(uhat, t), its step cap and its copy on the half grid.
 Their base _Flow marches them and holds the blow-up sentinel.
 
 By default the step is error-controlled per sample segment by step doubling:
-one trial marches n steps of 2h and 2n of h in lockstep from one shared first
-stage, each coarse step right after the first fine step it spans and at fine
-stage times, both tableaux from exp(z/2), exp(z), exp(2z) with z = h lin.  The
-fine result is kept when max|u_2n - u_n|/15 <= _RTOL max|u_2n|, and the next
-step is h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
+one trial marches 2n steps of h and n of 2h as the two rows of one state from
+one shared first stage (etd.py): a two-row step advances fine step 2j and
+coarse step j together, at the fine stage times, so both rows share every
+transform, and a one-row step then advances fine step 2j + 1; both tableaux
+come from exp(z/2), exp(z), exp(2z) with z = h lin.  The fine result is kept
+when max|u_2n - u_n|/15 <= _RTOL max|u_2n|, and the next step is
+h min(4, 0.9 (tol/err)^(1/5)), capped by the stability guard.
 A rejected trial (error too large, or a blow-up caught by the sentinel) shrinks
 h and retries the segment, at most _MAX_REJECTIONS times in a row.  An explicit
 integrate dt marches fixed uniform steps instead, with no retry: the
@@ -56,6 +58,8 @@ import numpy as np
 
 from .core import Field, GridSpec, half_spectrum_energy
 from .errors import ConfigError, InstabilityError
+# march calls _step through this module, where a test can replace it
+from .etd import EtdCoeffs, step as _step, tableaux as _tableaux
 from .profiles import ModelParams, chi, chi_and_chi_xx, chi_star_sup
 
 __all__ = [
@@ -67,8 +71,6 @@ __all__ = [
     "validity_horizon",
 ]
 
-_PHI_SMALL = 1e-2  # below this |z|, closed forms cancel; switch to Taylor
-_PHI_TERMS = 13
 _BLOWUP_FACTOR = 1e6
 _NONLINEAR_STABILITY = 2.8  # explicit RK4-type stability radius
 _MAX_AMPLITUDE = 0.5  # small-data cap on ||u0||_inf
@@ -93,81 +95,6 @@ _MIN_POINTS = 16  # the smallest GridSpec
 def validity_horizon(grid: GridSpec) -> float:
     """Latest time at which the diffusive scale stays far from the box edge."""
     return (grid.half_width / 8.0) ** 2
-
-
-# ---------------------------------------------------------------------------
-# phi functions and ETD-RK4 coefficients
-
-def _phi(z, j: int, ez):
-    """phi_j(z) = sum_{n>=0} z^n / (n+j)!, j in {1, 2, 3}, from ez = exp(z),
-    with a series branch at small |z|."""
-    out = np.empty_like(z)
-    small = np.abs(z) < _PHI_SMALL
-    zs = z[small]
-    acc = np.full_like(zs, 1.0 / math.factorial(_PHI_TERMS - 1 + j))
-    for n in range(_PHI_TERMS - 2, -1, -1):
-        acc = acc * zs + 1.0 / math.factorial(n + j)
-    out[small] = acc
-    big = ~small
-    zb, ez = z[big], ez[big]
-    if j == 1:
-        out[big] = (ez - 1.0) / zb
-    elif j == 2:
-        out[big] = (ez - 1.0 - zb) / zb**2
-    else:
-        out[big] = (ez - 1.0 - zb - 0.5 * zb**2) / zb**3
-    return out
-
-
-class _EtdCoeffs:
-    """ETD-RK4 tableau for one step dt, from z = dt lin, E2 = exp(z/2) and
-    E = exp(z).  f2 is twice the Cox-Matthews weight: it multiplies Na + Nb."""
-
-    __slots__ = ("dt", "E", "E2", "Q", "f1", "f2", "f3")
-
-    def __init__(self, dt: float, z, E2, E):
-        p1, p2, p3 = _phi(z, 1, E), _phi(z, 2, E), _phi(z, 3, E)
-        self.dt = dt
-        self.E = E
-        self.E2 = E2
-        self.Q = dt * 0.5 * _phi(0.5 * z, 1, E2)
-        self.f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-        self.f2 = 2.0 * (dt * (p2 - 2.0 * p3))
-        self.f3 = dt * (-p2 + 4.0 * p3)
-
-
-def _tableaux(lin, dt: float, coarse: bool):
-    """The tableaux at dt and, if coarse, at 2 dt from exp(z/2), exp(z), exp(2z),
-    z = dt lin.  Scaling by 2 is exact, so the coarse E2 is the fine E and the
-    pair has the bits of two tableaux built apart at dt and 2 dt."""
-    z = dt * lin
-    fine = _EtdCoeffs(dt, z, np.exp(0.5 * z), np.exp(z))
-    z *= 2.0
-    return fine, _EtdCoeffs(2.0 * dt, z, fine.E, np.exp(z)) if coarse else None
-
-
-def _step(uhat, t, t_half, t_end, co: _EtdCoeffs, nl, Nu=None):
-    """One ETD-RK4 step from uhat at stage times t, t_half, t_end; the first stage
-    nl(uhat, t) is evaluated unless given as Nu.  In place, but in the formula's
-    operand order (complex products do not commute bit for bit)."""
-    if Nu is None:
-        Nu = nl(uhat, t)
-    a = co.E2 * uhat
-    a += co.Q * Nu
-    Na = nl(a, t_half)
-    b = co.E2 * uhat  # recomputed rather than held through the stage above
-    b += co.Q * Na
-    Nb = nl(b, t_half)
-    c = np.subtract(np.multiply(2.0, Nb, out=b), Nu, out=b)
-    c = np.add(np.multiply(co.E2, a, out=a), np.multiply(co.Q, c, out=c), out=a)
-    out = np.multiply(co.E, uhat, out=b)
-    out += co.f1 * Nu
-    Na += Nb
-    out += np.multiply(co.f2, Na, out=Na)
-    del Nu, Na, Nb  # not held through the last stage
-    Nc = nl(c, t_end)
-    out += np.multiply(co.f3, Nc, out=Nc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,37 +203,43 @@ class _Flow:
                 f"spectral magnitude {peak:.3e} exceeded guard at t={t:.4g}"
             )
 
-    def march(self, uhat, t, n, fine: _EtdCoeffs, coarse: _EtdCoeffs | None,
-              t_last=None):
-        """n steps of fine.dt from time t, the last ending at t_last if given,
-        and, given a coarse tableau, n/2 steps of 2 dt in lockstep from the same
-        first stage, each right after the first fine step it spans and at fine
-        times.  Returns the fine and coarse (uhat if none) spectra."""
-        nl, dt = self.nl, fine.dt
+    def march(self, uhat, t, n, co: EtdCoeffs, t_last=None):
+        """n steps of co.dt from time t, the last ending at t_last if given, as
+        row 0 of one state.  A two-row tableau (see _tableaux) marches n/2 steps
+        of 2 dt as row 1 from the same first stage: a two-row step advances fine
+        step 2j and coarse step j together, the coarse stages at the fine times
+        t_2j, t_2j+1, t_2j+2, and a one-row step then advances fine step 2j+1.
+        Returns the state, one row per tableau row."""
+        nl, dt = self.nl, co.dt
         times = [t]
         for _ in range(n):
             times.append(times[-1] + dt)
         if t_last is not None:
             times[-1] = t_last
-        first = nl(uhat, t)
-        coarse_hat = uhat
+        hat = co.work[0]
+        hat[...] = uhat
+        # row 0 of the tableau (E .. f3) and of the march's arrays, for one-row steps
+        fine = EtdCoeffs(dt, *(a[:1] for a in co[1:7]), [a[:1] for a in co.work])
+        # the shared first stage, into row 0 of the stage array that holds Nu
+        Nu = nl(hat[:1], (t,), co.work[1][:1])
         for k in range(n):
             t, t_end = times[k], times[k + 1]
-            uhat = _step(uhat, t, t + 0.5 * dt, t_end, fine, nl, first)
-            self._sentinel(uhat, t_end)
-            if coarse is not None and k % 2 == 0:
-                coarse_hat = _step(coarse_hat, t, t_end, times[k + 2], coarse, nl, first)
-                self._sentinel(coarse_hat, times[k + 2])
-            first = None
-        return uhat, coarse_hat
+            if len(hat) == 2 and k % 2 == 0:
+                _step(hat, (t, t), (t + 0.5 * dt, t_end), (t_end, times[k + 2]),
+                      co, nl, Nu)
+            else:
+                _step(hat[:1], (t,), (t + 0.5 * dt,), (t_end,), fine, nl, Nu)
+            self._sentinel(hat, t_end)
+            Nu = None
+        return hat
 
     def fixed(self, uhat, t0, t1, dt):
         """The segment in uniform steps of at most dt; a blow-up raises."""
         span = t1 - t0
         n = max(1, int(math.ceil(span / dt - 1e-12)))
         N = self.grid.n_points
-        new_hat, _ = self.march(uhat, t0, n, _tableaux(self.linear, span / n, False)[0],
-                                None, t1)
+        new_hat = self.march(uhat, t0, n, _tableaux(self.linear, span / n, False), t1)
+        new_hat = new_hat[0].copy()  # not holding the march's arrays
         return new_hat, np.fft.irfft(new_hat, n=N), StepStats(t0, t1, span / n, n, N)
 
     def doubling(self, uhat, t0, t1, h, h_max, start_peak):
@@ -320,7 +253,7 @@ class _Flow:
             dt = span / (2 * n)
             try:
                 fine_hat, coarse_hat = self.march(
-                    uhat, t0, 2 * n, *_tableaux(self.linear, dt, True), t1
+                    uhat, t0, 2 * n, _tableaux(self.linear, dt, True), t1
                 )
             except InstabilityError:
                 factor = 0.5
@@ -333,7 +266,9 @@ class _Flow:
                 factor = _GROWTH_MAX if err == 0.0 else _SAFETY * (tol / err) ** 0.2
                 if err <= tol:
                     stats = StepStats(t0, t1, dt, 2 * n, N, rejected, err)
-                    return fine_hat, values, stats, dt * min(_GROWTH_MAX, factor)
+                    # a copy, so the trial's arrays are not held through the next segment
+                    return (fine_hat.copy(), values, stats,
+                            dt * min(_GROWTH_MAX, factor))
                 factor = max(_SHRINK_MIN, factor)
             rejected += 1
             if rejected >= _MAX_REJECTIONS:
@@ -360,9 +295,9 @@ class _BbmbFlow(_Flow):
         mult = -(0.5 * p.beta) * 1j * grid.xi_half_odd / (1.0 + xi2)
         self.mult = np.where(grid.dealias, mult, 0.0)
 
-    def nl(self, uhat, t):
-        u = np.fft.irfft(uhat, n=self.grid.n_points)
-        r = np.fft.rfft(np.multiply(u, u, out=u))
+    def nl(self, uhat, t, out=None, values=None):
+        u = np.fft.irfft(uhat, n=self.grid.n_points, out=values)
+        r = np.fft.rfft(np.multiply(u, u, out=u), out=out)
         return np.multiply(self.mult, r, out=r)
 
     def guard(self, t):
@@ -422,11 +357,11 @@ def _run_trajectory(make_flow, u0: Field, t_samples, dt):
         record(0.0, uhat, u_vals, grid)
         ts = ts[1:]
     h = _H_START
+    start_peak = float(np.abs(u_vals).max())
     for t_next in ts:
         if dt is not None:
             uhat, u_vals, seg = flow.fixed(uhat, t_prev, t_next, dt)
         else:
-            start_peak = float(np.abs(u_vals).max())
             h_max = 0.5 * flow.guard(t_prev)
             flow, uhat = _halved(flow, uhat, t_prev)
             uhat, u_vals, seg, h = flow.doubling(uhat, t_prev, t_next, h, h_max,
@@ -434,6 +369,8 @@ def _run_trajectory(make_flow, u0: Field, t_samples, dt):
         stats.append(seg)
         t_prev = t_next
         record(t_next, uhat, u_vals, flow.grid)
+        start_peak = float(np.abs(u_vals).max())
+        del u_vals  # the snapshot holds a copy; not held through the next segment
 
     return Trajectory(flow.p, grid, np.asarray(times), snaps, np.asarray(masses),
                       np.asarray(fracs), stats).validate()
@@ -476,12 +413,15 @@ class _AuxFlow(_Flow):
     -gamma chi_xxx as the stage, and the convection guard (xi chi is unbounded in
     xi) from rate = |beta| sup|chi_star| xi_max, with xi_max of the full grid.
 
-    A step's stage times are t, t + h/2, t + h, the last the next step's first; a
-    coarse step runs after the first fine step it spans, at the fine times t,
-    t + h, t + 2h.  So a cache of the three stage times last used, each holding
-    chi and the forcing's spectrum dxi rfft(-gamma chi_xx) (None at gamma = 0),
-    evaluates both once per distinct fine stage time, from one chi_star
-    evaluation.  seed, a (t, entry) pair, starts the cache."""
+    A stage takes one time per row of its state and looks them up in row order.
+    A fine step's stage times are t, t + h/2, t + h, the last the next step's
+    first; the coarse row rides in the first fine step it spans, at the fine
+    times t, t + h, t + 2h, so that step's stages look up (t, t),
+    (t + h/2, t + h) twice and (t + h, t + 2h).  So a cache of the three stage
+    times last used, each holding chi and the forcing's spectrum
+    dxi rfft(-gamma chi_xx) (None at gamma = 0), evaluates both once per
+    distinct fine stage time, from one chi_star evaluation.  seed, a (t, entry)
+    pair, starts the cache."""
 
     def __init__(self, grid: GridSpec, p: ModelParams, rate: float,
                  threshold: float, seed=None):
@@ -507,12 +447,17 @@ class _AuxFlow(_Flow):
         self.cache[t] = entry
         return entry
 
-    def nl(self, zhat, t):
-        chi_t, forcing = self.at(t)
-        u = np.fft.irfft(zhat, n=self.grid.n_points)
-        r = np.fft.rfft(np.multiply(chi_t, u, out=u))
+    def nl(self, zhat, ts, out=None, values=None):
+        entries = [self.at(t) for t in ts]
+        u = np.fft.irfft(zhat, n=self.grid.n_points, out=values)
+        for row, (chi_t, _) in zip(u, entries):
+            np.multiply(chi_t, row, out=row)
+        r = np.fft.rfft(u, out=out)
         r = np.multiply(self.conv, r, out=r)
-        return r if forcing is None else np.add(r, forcing, out=r)
+        for row, (_, forcing) in zip(r, entries):
+            if forcing is not None:
+                np.add(row, forcing, out=row)
+        return r
 
     def guard(self, t):
         # sup|chi(., t)| = sup|chi_star| / sqrt(1 + t), whatever points sample it
@@ -539,8 +484,9 @@ def solve_aux(z0: Field, p: ModelParams, t_samples) -> Trajectory:
     The heat part is exact per step; the convection term and the forcing are
     advanced by the exponential stages.  chi and the forcing come from one
     chi_star evaluation per distinct fine stage time of a trial, on the
-    segment's grid (the coarse steps use fine stage times, and the three last
-    used are kept: 384 KB at N = 8192), so a segment of n accepted steps without
+    segment's grid (the coarse row's stages, which share the fine row's
+    transforms, use fine stage times, and the three last used are kept:
+    384 KB at N = 8192), so a segment of n accepted steps without
     a rejected trial evaluates them at most 2 n + 1 times, the ladder's test at
     the segment start included.  The forced flow needs |mass| <= 1 (the wave
     decay estimates); ConfigError otherwise.

@@ -5,6 +5,7 @@ import pytest
 
 from bbmburgers import ConfigError, Field, InstabilityError, ModelParams, make_grid
 from bbmburgers import profiles as pr
+from bbmburgers import etd
 from bbmburgers import semigroup as sg
 from bbmburgers import solver as sv
 from bbmburgers.core import lp_norm, measurement_mask
@@ -415,24 +416,66 @@ class TestStepControl:
 
 
 def seed_march(uhat, t0, n, co, nl):
-    """n ETD-RK4 steps of co.dt, each with its own first stage and the
-    formula's out-of-place arithmetic."""
+    """n ETD-RK4 steps of co.dt (a one-row tableau) from the one-row uhat, each
+    with its own first stage and the formula's out-of-place arithmetic."""
     t = t0
     for _ in range(n):
-        Nu = nl(uhat, t)
+        Nu = nl(uhat, (t,))
         a = co.E2 * uhat + co.Q * Nu
-        Na = nl(a, t + 0.5 * co.dt)
+        Na = nl(a, (t + 0.5 * co.dt,))
         b = co.E2 * uhat + co.Q * Na
-        Nb = nl(b, t + 0.5 * co.dt)
+        Nb = nl(b, (t + 0.5 * co.dt,))
         c = co.E2 * a + co.Q * (2.0 * Nb - Nu)
-        Nc = nl(c, t + co.dt)
+        Nc = nl(c, (t + co.dt,))
         uhat = co.E * uhat + co.f1 * Nu + co.f2 * (Na + Nb) + co.f3 * Nc
         t += co.dt
     return uhat
 
 
+def seed_phi(z, j):
+    """phi_j(z) by the closed form, with the series at |z| < etd._PHI_SMALL."""
+    ez = np.exp(z)
+    out = np.empty_like(z)
+    small = np.abs(z) < etd._PHI_SMALL
+    zs = z[small]
+    acc = np.full_like(zs, 1.0 / math.factorial(etd._PHI_TERMS - 1 + j))
+    for n in range(etd._PHI_TERMS - 2, -1, -1):
+        acc = acc * zs + 1.0 / math.factorial(n + j)
+    out[small] = acc
+    zb, ez = z[~small], ez[~small]
+    out[~small] = [(ez - 1.0) / zb, (ez - 1.0 - zb) / zb**2,
+                   (ez - 1.0 - zb - 0.5 * zb**2) / zb**3][j - 1]
+    return out
+
+
+def seed_tableau(lin, dt):
+    """The one-step tableau at dt, each coefficient by its own formula."""
+    z = dt * lin
+    p1, p2, p3 = (seed_phi(z, j) for j in (1, 2, 3))
+    return {"E": np.exp(z), "E2": np.exp(0.5 * z),
+            "Q": dt * 0.5 * seed_phi(0.5 * z, 1),
+            "f1": dt * (p1 - 3.0 * p2 + 4.0 * p3), "f2": 2.0 * (dt * (p2 - 2.0 * p3)),
+            "f3": dt * (-p2 + 4.0 * p3)}
+
+
 def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+COEFFS = ("E", "E2", "Q", "f1", "f2", "f3")
+
+
+class TestBatchedTransforms:
+    @pytest.mark.parametrize("n", [2**k for k in range(4, 15)])
+    def test_rows_of_a_two_row_transform_equal_one_row_transforms(self, n, rng):
+        # a trial's fine and coarse states share each transform as the rows of
+        # one array; their trajectories are those of separate marches only while
+        # every row of a two-row transform has the bits of a one-row transform
+        x = rng.standard_normal((2, n))
+        xhat = np.fft.rfft(x)
+        for row in range(2):
+            assert same_bits(xhat[row], np.fft.rfft(x[row]))
+            assert same_bits(np.fft.irfft(xhat, n=n)[row], np.fft.irfft(xhat[row], n=n))
 
 
 class TestLockstepTrial:
@@ -443,35 +486,39 @@ class TestLockstepTrial:
         else:
             lin, dt = -grid60.xi_half**2 + 0j, 1e-4
         for z in (dt * lin, 2.0 * dt * lin):
-            small = np.abs(z) < sv._PHI_SMALL
+            small = np.abs(z) < etd._PHI_SMALL
             assert small.any() and not small.all()
         exps = []
         real_exp = np.exp
 
-        def counting_exp(x):
-            exps.append(x)
-            return real_exp(x)
+        def counting_exp(x, *args, **kwargs):
+            exps.append(x.size)
+            return real_exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        fine, coarse = sv._tableaux(lin, dt, True)
-        assert len(exps) == 3
+        pair = etd.tableaux(lin, dt, True)
+        assert sum(exps) == 3 * lin.size  # exp(z/2), exp(z), exp(2z), once each
         monkeypatch.undo()
-        assert fine.E is coarse.E2
-        for pair, ref in ((fine, sv._tableaux(lin, dt, False)[0]),
-                          (coarse, sv._tableaux(lin, 2.0 * dt, False)[0])):
-            assert pair.dt == ref.dt
-            for name in ("E", "E2", "Q", "f1", "f2", "f3"):
-                assert same_bits(getattr(pair, name), getattr(ref, name)), name
+        assert np.shares_memory(pair.E[0], pair.E2[1])  # the coarse E2 is the fine E
+        assert pair.dt == dt and isinstance(pair.dt, float)
+        for row, step in enumerate((dt, 2.0 * dt)):
+            apart, seed = etd.tableaux(lin, step, False), seed_tableau(lin, step)
+            assert apart.dt == step
+            for name in COEFFS:
+                assert same_bits(getattr(pair, name)[row], getattr(apart, name)[0]), name
+                assert same_bits(getattr(apart, name)[0], seed[name]), name
 
     def test_integrate_trial_equals_separate_marches(self, grid60):
         flow = sv._BbmbFlow(grid60, P, math.inf, math.inf)
         uhat = np.fft.rfft(gaussian_data(grid60).values)
-        fine, coarse = sv._tableaux(flow.linear, 0.05, True)
-        fine_hat, coarse_hat = flow.march(uhat, 0.3, 10, fine, coarse)
-        assert same_bits(fine_hat, seed_march(uhat, 0.3, 10, fine, flow.nl))
-        assert same_bits(coarse_hat, seed_march(uhat, 0.3, 5, coarse, flow.nl))
+        fine = etd.tableaux(flow.linear, 0.05, False)
+        pair = etd.tableaux(flow.linear, 0.05, True)
+        fine_hat, coarse_hat = flow.march(uhat, 0.3, 10, pair)
+        assert same_bits(fine_hat, seed_march(uhat[None], 0.3, 10, fine, flow.nl)[0])
+        coarse = etd.tableaux(flow.linear, 0.1, False)
+        assert same_bits(coarse_hat, seed_march(uhat[None], 0.3, 5, coarse, flow.nl)[0])
         # the fixed-dt route marches the same fine chain
-        assert same_bits(flow.march(uhat, 0.3, 10, fine, None)[0], fine_hat)
+        assert same_bits(flow.march(uhat, 0.3, 10, fine)[0], fine_hat)
 
     def test_solve_aux_trial_equals_separate_marches(self, grid60):
         # the coarse stage times are the fine march's accumulated times, which
@@ -479,11 +526,31 @@ class TestLockstepTrial:
         p = ModelParams(1.0, 1.0, 3.0, 0.5)
         flow = sv._AuxFlow(grid60, p, 0.0, math.inf)
         uhat = np.fft.rfft(0.01 * grid60.x * np.exp(-grid60.x**2 / 4.0))
-        fine, coarse = sv._tableaux(flow.linear, 0.03, True)
-        fine_hat, coarse_hat = flow.march(uhat, 1.1, 14, fine, coarse)
-        assert same_bits(fine_hat, seed_march(uhat, 1.1, 14, fine, flow.nl))
-        ref = seed_march(uhat, 1.1, 7, coarse, flow.nl)
+        fine = etd.tableaux(flow.linear, 0.03, False)
+        pair = etd.tableaux(flow.linear, 0.03, True)
+        fine_hat, coarse_hat = flow.march(uhat, 1.1, 14, pair)
+        assert same_bits(fine_hat, seed_march(uhat[None], 1.1, 14, fine, flow.nl)[0])
+        ref = seed_march(uhat[None], 1.1, 7, etd.tableaux(flow.linear, 0.06, False),
+                         flow.nl)[0]
         assert np.abs(coarse_hat - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_trial_of_2n_fine_steps_makes_8n_stages(self, grid60, n):
+        # the coarse chain rides in the fine chain's transforms: four stages per
+        # fine step, the shared first stage included
+        flow = sv._BbmbFlow(grid60, P, math.inf, math.inf)
+        real_nl, calls = flow.nl, []
+
+        def nl(uhat, t, *args):
+            calls.append(len(t))
+            return real_nl(uhat, t, *args)
+
+        flow.nl = nl
+        flow.march(np.fft.rfft(gaussian_data(grid60).values), 0.0, 2 * n,
+                   etd.tableaux(flow.linear, 0.05, True))
+        assert len(calls) == 8 * n
+        # the transform rows: n two-row and n one-row steps, less one shared row
+        assert sum(calls) == 12 * n - 1
 
 
 def ladder_scenario(kind):
