@@ -3,7 +3,6 @@
 from .core import Field, GridSpec, lp_norm, make_grid
 from .errors import (
     ConfigError,
-    HypothesisViolationError,
     InstabilityError,
     MassMismatchError,
     NumericsError,

@@ -8,18 +8,18 @@ log-values against log(1+t), optionally after dividing out a log(1+t) factor,
 with a Theil-Sen slope reported alongside.  RATE_CLAIMS states, per alpha
 branch and combination, the claimed exponent, its log power and the kind of
 test; it alone fixes which combinations exist (COMBOS) and which a run fits.
-The harness fits, `bbmburgers rates` and optimal_rate_report(series, p, ps,
-window, l), which judges the series error_series_multi returned, all read it.
+optimal_rate_report(series, p, ps, window) is the one route from the series
+error_series_multi returned to a run's report["fits"]: one entry per series
+holding its claim, its fit and its verdict.  `bbmburgers rates` prints an entry.
 """
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import MEASUREMENT_FRACTION, measurement_mask
-from .errors import ConfigError, HypothesisViolationError
+from .errors import ConfigError
 from .profiles import ModelParams, ProfileSet, V, Z_eval, chi
 from .solver import Trajectory
 
@@ -145,13 +145,18 @@ def theil_sen_slope(x, y) -> float:
 MIN_FIT_SAMPLES = 8
 
 
+def _in_window(times, window):
+    """The samples that fit_rate fits and optimal_rate_report judges: those in
+    the window at t > 0, where log(1+t) and its log are finite."""
+    return (times >= window[0]) & (times <= window[1]) & (times > 0)
+
+
 def _fit_arrays(times, values, window, log_power):
-    t0, t1 = window
-    sel = (times >= t0) & (times <= t1)
+    sel = _in_window(times, window)
     t = times[sel]
     v = values[sel]
     if t.size < MIN_FIT_SAMPLES:
-        raise ConfigError(f"fit window [{t0}, {t1}] holds {t.size} samples; "
+        raise ConfigError(f"fit window [{window[0]}, {window[1]}] holds {t.size} samples; "
                           f"need >= {MIN_FIT_SAMPLES}")
     if np.any(v <= 0):
         raise ConfigError("fit requires strictly positive values in the window")
@@ -165,7 +170,8 @@ def _fit_arrays(times, values, window, log_power):
 
 
 def fit_rate(es: ErrorSeries, window, log_power: int = 0) -> RateFit:
-    """Fit value ~ A (1+t)^e log(1+t)^log_power on the window by least squares."""
+    """Fit value ~ A (1+t)^e log(1+t)^log_power by least squares on the samples
+    of the window at t > 0."""
     tau, y, n = _fit_arrays(es.times, es.values, window, log_power)
     A = np.vstack([tau, np.ones_like(tau)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -193,7 +199,7 @@ def window_stability(es: ErrorSeries, full: RateFit) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rate claims and the optimal-rate decision report
+# Rate claims and the optimal-rate report
 
 @dataclass(frozen=True)
 class RateClaim:
@@ -210,8 +216,6 @@ class RateClaim:
     log_power: int
     kind: str
 
-    BAND_SLOPE_TOL: ClassVar[float] = 0.1  # reported with band fits in report.json
-
     def scale(self, t):
         """The inverse of the claimed law at times t,
         (1+t)^(-exponent) / log(1+t)^log_power; nan where the log vanishes."""
@@ -224,7 +228,7 @@ class RateClaim:
     def judge(self, ratio: float, slope: float) -> dict:
         if self.kind == "band":
             return {"ratio_ok": ratio <= 10.0,
-                    "slope_ok": abs(slope) <= self.BAND_SLOPE_TOL}
+                    "slope_ok": abs(slope) <= 0.1}
         if self.kind == "improves":
             return {"slope_ok": slope <= -0.05}
         if self.kind == "bounded":
@@ -297,79 +301,88 @@ def default_window(times) -> tuple:
 _DEGENERATE_FLOOR = 1e-13
 
 
-def _scaled_entry(es: ErrorSeries, window, claim: RateClaim) -> dict:
-    """Scale the error by the inverse of its claimed law on the window and judge it.
-    A window with fewer than MIN_FIT_SAMPLES positive sample times is not judged:
-    its status is "insufficient_samples", with their count."""
-    label = f"(1+t)^{-claim.exponent:g}" + ("/log(1+t)" if claim.log_power else "")
-    entry = {"combo": es.combo, "scaling": label}
-    sel = (es.times >= window[0]) & (es.times <= window[1]) & (es.times > 0)
+def _hypothesis_violation(p: ModelParams, ps: ProfileSet):
+    """Why the claimed rates degenerate for these parameters, or None."""
+    if p.mass == 0.0:
+        return "optimal-rate claims require M != 0"
+    if rate_branch(p.alpha) == "alpha_lt_2" and (not math.isfinite(ps.mu0)
+                                                 or ps.mu0 == 0.0):
+        return "1 < alpha < 2 branch requires mu0 != 0"
+    return None
+
+
+def _verdict(es: ErrorSeries, window, claim: RateClaim, fit: RateFit) -> dict:
+    """Scale the error by the inverse of its claimed law on the window and judge
+    it by the claim's kind.  A window that fit_rate refuses for its sample count
+    is "insufficient_samples" (with the count); a scaled error at round-off is
+    "degenerate".  The slope is the fit's Theil-Sen slope less the claimed
+    exponent: the Theil-Sen slope of the scaled log series."""
+    sel = _in_window(es.times, window)
     t = es.times[sel]
     if t.size < MIN_FIT_SAMPLES:
-        entry.update(status="insufficient_samples", n_samples=int(t.size))
-        return entry
+        return {"status": "insufficient_samples", "n_samples": int(t.size)}
     r = es.values[sel] * claim.scale(t)
     if np.any(r <= _DEGENERATE_FLOOR):
-        entry["status"] = "degenerate"
-        return entry
+        return {"status": "degenerate"}
     ratio = float(r.max() / r.min())
-    slope = theil_sen_slope(np.log1p(t), np.log(r))
-    entry.update(status="ok", ratio=ratio, ts_slope=slope,
-                 scaled_first=float(r[0]), scaled_last=float(r[-1]))
-    entry.update(claim.judge(ratio, slope))
-    return entry
+    slope = fit.theil_sen - claim.exponent
+    flags = claim.judge(ratio, slope)
+    return {"status": "ok", "ratio": ratio, "ts_slope": slope,
+            "scaled_first": float(r[0]), "scaled_last": float(r[-1]),
+            **flags, "passed": all(flags.values())}
 
 
-def optimal_rate_report(
-    series: dict, p: ModelParams, ps: ProfileSet, window=None, l: int = 0
-) -> dict:
-    """Decide the RATE_CLAIMS of one run and derivative order l on the linf
-    series of order l in `series`, error_series_multi's output for that run.
+def optimal_rate_report(series: dict, p: ModelParams, ps: ProfileSet, window=None) -> dict:
+    """Fit and judge every error series of one run against its RATE_CLAIMS entry:
+    {"combo|norm|l<l>": entry} for `series`, error_series_multi's output.
 
-    The branch's first-profile error (kind band) and its refinement (kind
-    improves or bounded) are scaled by their claimed laws and judged by
-    their kinds.  A log-corrected band also needs the log lower bound
-    (kappa != 0, mu1 != 0); without it the band is marked not-applicable.
-    A window too short for fit_rate is marked insufficient_samples, not judged.
+    Each entry holds the claim in the series' own norm (claimed_exponent,
+    claim_kind, log_power, scaling), the fit_rate fields, window_stability and
+    resolved (null and false, with a reason, when the shrunk window is too short
+    to refit), and the verdict: status, and for status "ok" the scaled max/min
+    ratio, ts_slope, the first and last scaled values and the kind's flags.
+    passed is null unless the entry is judged.  Only a window that fit_rate
+    refuses carries its error.  Entries are not judged where the claims
+    degenerate (M = 0, or mu0 = 0 on the 1 < alpha < 2 branch:
+    "hypothesis_violation") or where a log-corrected band lacks its log lower
+    bound (kappa = 0 or mu1 = 0: "not_applicable"); both give their reason.
     """
-    alpha = p.alpha
     if window is None:
         window = default_window(next(iter(series.values())).times)
-    if p.mass == 0.0:
-        raise HypothesisViolationError("optimal-rate claims require M != 0")
-    branch = rate_branch(alpha)
-    if branch == "alpha_lt_2" and (not math.isfinite(ps.mu0) or ps.mu0 == 0.0):
-        raise HypothesisViolationError("1 < alpha < 2 branch requires mu0 != 0")
-
-    report = {
-        "alpha": alpha,
-        "l": l,
-        "window": [float(window[0]), float(window[1])],
-        "hypotheses": {
-            "mass": p.mass,
-            "kappa": ps.kappa,
-            "mu0": None if not math.isfinite(ps.mu0) else ps.mu0,
-            "mu1": ps.mu1,
-        },
-        "branch": branch,
-    }
-
-    claims = {combo: rate_claim(alpha, combo, l) for combo in claimed_combos(alpha)}
+    violation = _hypothesis_violation(p, ps)
     log_applicable = ps.kappa != 0.0 and ps.mu1 != 0.0
-    for combo, claim in claims.items():
-        key = "band" if claim.kind == "band" else "refinement"
-        if claim.kind == "band" and claim.log_power and not log_applicable:
-            report[key] = {
-                "combo": combo,
-                "status": "not_applicable",
-                "reason": "kappa = 0 or mu1 = 0: no log lower bound",
-            }
+    report = {}
+    for (combo, l, nm), es in series.items():
+        claim = rate_claim(p.alpha, combo, l, nm)
+        entry = {"combo": combo, "norm": nm, "l": l, "claimed_exponent": claim.exponent,
+                 "claim_kind": claim.kind, "log_power": claim.log_power,
+                 "scaling": f"(1+t)^{-claim.exponent:g}"
+                            + ("/log(1+t)" if claim.log_power else "")}
+        reasons = []
+        try:
+            fit = fit_rate(es, window, claim.log_power)
+        except ConfigError as exc:
+            fit = None
+            entry["error"] = str(exc)
         else:
-            report[key] = _scaled_entry(series[(combo, l, "linf")], window, claim)
-
-    checks = []
-    for entry in (report["band"], report["refinement"]):
-        if entry["status"] == "ok":
-            checks.extend(v for k, v in entry.items() if k.endswith("_ok"))
-    report["passed"] = bool(checks) and all(checks)
+            entry.update(asdict(fit))
+            try:
+                stability = window_stability(es, fit)
+                entry.update(window_stability=stability, resolved=stability < 0.05)
+            except ConfigError as exc:
+                # the shrunk window is too short to refit; the full-window fit stands
+                entry.update(window_stability=None, resolved=False)
+                reasons.append(f"window stability not measured: {exc}")
+        if violation:
+            entry["status"] = "hypothesis_violation"
+            reasons.append(violation)
+        elif claim.kind == "band" and claim.log_power and not log_applicable:
+            entry["status"] = "not_applicable"
+            reasons.append("kappa = 0 or mu1 = 0: no log lower bound")
+        else:
+            entry.update(_verdict(es, window, claim, fit))
+        entry.setdefault("passed", None)
+        if reasons:
+            entry["reason"] = "; ".join(reasons)
+        report[f"{combo}|{nm}|l{l}"] = entry
     return report

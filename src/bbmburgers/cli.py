@@ -97,18 +97,23 @@ def _load_bundle_trajectory(bundle_dir: str):
 
 def _cmd_rates(args) -> int:
     s, traj, ps = _load_bundle_trajectory(args.bundle)
-    key = (args.combo, args.l, args.norm)
-    es = asy.error_series_multi(traj, ps, [args.combo], orders=(args.l,),
-                                norms=(args.norm,))[key]
+    series = asy.error_series_multi(traj, ps, [args.combo], orders=(args.l,),
+                                    norms=(args.norm,))
     window = tuple(args.window) if args.window else asy.default_window(traj.times)
-    claim = asy.rate_claim(s.alpha, args.combo, args.l, args.norm)
-    fit = asy.fit_rate(es, window, log_power=claim.log_power)
+    (e,) = asy.optimal_rate_report(series, s.params, ps, window).values()
+    if "error" in e:
+        raise ConfigError(e["error"])
     print(f"combo={args.combo} norm={args.norm} l={args.l} window={window}")
-    print(f"  exponent   = {fit.exponent:+.4f}  (log_power={fit.log_power})")
-    print(f"  claimed    = {claim.exponent:+.4f}  ({claim.kind})")
-    print(f"  theil_sen  = {fit.theil_sen:+.4f}")
-    print(f"  amplitude  = {fit.amplitude:.6g}")
-    print(f"  resid_rms  = {fit.residual_rms:.3e}  over {fit.n_samples} samples")
+    print(f"  exponent   = {e['exponent']:+.4f}  (log_power={e['log_power']})")
+    print(f"  claimed    = {e['claimed_exponent']:+.4f}  ({e['claim_kind']})")
+    print(f"  theil_sen  = {e['theil_sen']:+.4f}")
+    print(f"  amplitude  = {e['amplitude']:.6g}")
+    print(f"  resid_rms  = {e['residual_rms']:.3e}  over {e['n_samples']} samples")
+    print(f"  status     = {e['status']}" + (f"  ({e['reason']})" if "reason" in e else ""))
+    if e["status"] == "ok":
+        print(f"  ratio      = {e['ratio']:.4g}  (scaled by {e['scaling']})")
+        print(f"  ts_slope   = {e['ts_slope']:+.4f}")
+    print(f"  passed     = {e['passed']}")
     return 0
 
 

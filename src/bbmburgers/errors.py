@@ -19,8 +19,3 @@ class NumericsError(RuntimeError):
 
 class InstabilityError(NumericsError):
     """Time integration blew up or the grid can no longer resolve the solution."""
-
-
-class HypothesisViolationError(ValueError):
-    """A rate report was requested for parameters where the claimed rates degenerate
-    (zero mass, or a vanishing amplitude constant for the active branch)."""

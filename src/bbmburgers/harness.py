@@ -11,14 +11,14 @@ import math
 import numbers
 import os
 import shutil
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import asymptotics as asy
 from .core import Field, GridSpec, lp_norm, make_grid, measurement_mask, smoothstep, \
     smoothstep_deriv, tail_taper, tail_taper_deriv
-from .errors import ConfigError, HypothesisViolationError
+from .errors import ConfigError
 from .profiles import (
     ModelParams,
     chi_star,
@@ -245,9 +245,10 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
     the scenario).  The directory is cleared first, so reruns reproduce every
     file byte for byte and leave nothing else.  The fitted combinations are
     the RATE_CLAIMS combinations of the scenario's alpha branch; chi+Z is
-    dropped when both tail constants c_alpha are zero (mu0 = 0 then stops the
-    rate report).  One error_series_multi pass feeds the fits and CSVs (the
-    scenario's norms) and optimal_rate_report (linf).
+    dropped when both tail constants c_alpha are zero (mu0 = 0 then marks the
+    alpha < 2 entries a hypothesis violation).  One error_series_multi pass in
+    the scenario's norms feeds the CSVs and optimal_rate_report, whose entries
+    are report["fits"]: each series' claim, fit and verdict.
 
     Returns a dict with the report, the trajectory and the fitted error series.
     Raises ConfigError for invalid scenarios (no positive sample, which leaves
@@ -271,38 +272,8 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
         raise ConfigError("Z combinations support derivative orders 0 and 1 only")
 
     traj = integrate(u0, p, t_samples)
-    every = asy.error_series_multi(traj, ps, combos, orders=orders,
-                                   norms=tuple(dict.fromkeys([*s.norms, "linf"])))
-    series = {key: es for key, es in every.items() if key[2] in s.norms}
-
-    fits = {}
-    for (combo, l, nm), es in series.items():
-        key = f"{combo}|{nm}|l{l}"
-        claim = asy.rate_claim(s.alpha, combo, l, nm)
-        try:
-            fit = asy.fit_rate(es, window, log_power=claim.log_power)
-        except ConfigError as exc:
-            fits[key] = {"combo": combo, "norm": nm, "l": l, "error": str(exc)}
-            continue
-        entry = {"combo": combo, "norm": nm, "l": l, "claimed_exponent": claim.exponent,
-                 "claim_kind": claim.kind, **asdict(fit)}
-        if claim.kind == "band":
-            entry["exponent_tolerance"] = claim.BAND_SLOPE_TOL
-        try:
-            stability = asy.window_stability(es, fit)
-            entry.update(window_stability=stability, resolved=stability < 0.05)
-        except ConfigError as exc:
-            # the shrunk window is too short to refit; the full-window fit stands
-            entry.update(window_stability=None, resolved=False,
-                         reason=f"window stability not measured: {exc}")
-        fits[key] = entry
-
-    rate_reports = {}
-    for l in orders:
-        try:
-            rate_reports[f"l{l}"] = asy.optimal_rate_report(every, p, ps, window, l=l)
-        except HypothesisViolationError as exc:
-            rate_reports[f"l{l}"] = {"status": "hypothesis_violation", "reason": str(exc)}
+    series = asy.error_series_multi(traj, ps, combos, orders=orders, norms=tuple(s.norms))
+    fits = asy.optimal_rate_report(series, p, ps, window)
 
     cross_checks = {
         "mass_drift": float(np.abs(traj.mass_log - traj.mass_log[0]).max()),
@@ -335,7 +306,6 @@ def run_experiment(s: Scenario, out_root: str | None = "out"):
             "times": [float(t) for t in traj.times],
         },
         "fits": fits,
-        "optimal_rate": rate_reports,
         "cross_checks": cross_checks,
     }
 

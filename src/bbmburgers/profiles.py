@@ -20,10 +20,8 @@ __all__ = [
     "ModelParams",
     "ProfileSet",
     "chi_star",
-    "chi_star_deriv",
     "chi_star_sup",
     "chi",
-    "chi_x",
     "chi_and_chi_xx",
     "chi_t",
     "eta_star",
@@ -116,11 +114,6 @@ def _chi_star_jet(y, p: ModelParams):
     return c, c1, -0.5 * c - 0.5 * y * c1 + p.beta * c * c1
 
 
-def chi_star_deriv(x, p: ModelParams):
-    """chi_star' via the stationary Burgers relation chi' = -x chi/2 + beta chi^2/2."""
-    return _chi_star_jet(x, p)[1]
-
-
 def chi_star_sup(p: ModelParams) -> float:
     """sup|chi_star|, so sup|chi(., t)| = chi_star_sup / sqrt(1 + t) on any points.
     The extremum sits where chi_star' = 0, i.e. x = beta chi_star(x), and there
@@ -141,11 +134,6 @@ def chi(x, t, p: ModelParams):
         raise ConfigError("t must be nonnegative")
     s = math.sqrt(1.0 + t)
     return chi_star(np.asarray(x) / s, p) / s
-
-
-def chi_x(x, t, p: ModelParams):
-    s = math.sqrt(1.0 + t)
-    return chi_star_deriv(np.asarray(x) / s, p) / (1.0 + t)
 
 
 def chi_and_chi_xx(x, t, p: ModelParams):
@@ -294,9 +282,10 @@ def dx_eta_heat(x, y, wy, s: float, t: float, p: ModelParams, order: int):
     """
     if order not in (1, 2):
         raise ConfigError(f"dx_eta_heat supports orders 1 and 2, got {order}")
-    b = 0.5 * p.beta * chi(x, t, p)
-    if order == 2:
-        b1 = 0.5 * p.beta * chi_x(x, t, p)
+    st = math.sqrt(1.0 + t)
+    c, c1, _ = _chi_star_jet(np.asarray(x) / st, p)
+    b = 0.5 * p.beta * (c / st)
+    b1 = 0.5 * p.beta * (c1 / (1.0 + t))
     inv2s = 0.5 / s
     out = np.empty(x.size)
     for rows, nodes in _gauss_bands(x, y, s):

@@ -207,10 +207,11 @@ def test_optimal_rate_report_on_main_scenario(alpha15_bundle):
     from bbmburgers.asymptotics import optimal_rate_report
     ps = alpha15_bundle["ps"]
     report = optimal_rate_report(alpha15_bundle["series"], ps.params, ps, window=WINDOW)
-    ok = report["band"]["status"] == "ok" and report["band"]["ratio_ok"] \
-        and report["refinement"]["slope_ok"]
+    band, refinement = report["chi|linf|l0"], report["chi+Z|linf|l0"]
+    ok = band["status"] == "ok" and band["ratio_ok"] and refinement["slope_ok"]
     assert _report("report: alpha=1.5 optimal-rate decision passes", ok,
-                   json.dumps({k: report[k]["status"] for k in ("band", "refinement")}))
+                   json.dumps({k: report[k]["status"] for k in ("chi|linf|l0",
+                                                                 "chi+Z|linf|l0")}))
 
 
 # ---------------------------------------------------------------------------

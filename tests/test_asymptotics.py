@@ -6,7 +6,6 @@ import pytest
 from bbmburgers import (
     ConfigError,
     Field,
-    HypothesisViolationError,
     ModelParams,
     make_grid,
 )
@@ -122,6 +121,16 @@ class TestFitRate:
         with pytest.raises(ConfigError):
             asy.fit_rate(es, (1.0, 100.0))
 
+    def test_sample_at_t_zero_left_out_of_the_window(self):
+        # log(1+t) vanishes at t = 0, so a log-corrected fit there would be nan;
+        # the fit, like the verdict, takes the window's samples at t > 0
+        t = np.concatenate([[0.0], np.geomspace(1.0, 100.0, 12)])
+        es = self._series(2.0 * np.log1p(t) / (1.0 + t) + 1e-3, t)
+        fit = asy.fit_rate(es, (0.0, 100.0), log_power=1)
+        assert math.isfinite(fit.exponent) and math.isfinite(fit.amplitude)
+        assert fit.n_samples == 12
+        assert fit.exponent == asy.fit_rate(es, (1.0, 100.0), log_power=1).exponent
+
     def test_window_stability_on_clean_data(self):
         t = np.geomspace(1.0, 1000.0, 33)
         es = self._series(5.0 * (1.0 + t) ** -0.5, t)
@@ -174,9 +183,9 @@ class TestRateClaims:
 class TestOptimalRateReport:
     @staticmethod
     def _report(traj, ps, **kwargs):
-        # the report judges the linf series of every claimed combination
+        # one entry per linf series of every claimed combination
         combos = asy.claimed_combos(traj.params.alpha)
-        series = asy.error_series_multi(traj, ps, combos, orders=(kwargs.get("l", 0),))
+        series = asy.error_series_multi(traj, ps, combos)
         return asy.optimal_rate_report(series, traj.params, ps, **kwargs)
 
     def _wave_plus_z_traj(self, ps, times, g, p):
@@ -193,10 +202,34 @@ class TestOptimalRateReport:
         times = np.geomspace(1.0, 100.0, 15)
         traj = self._wave_plus_z_traj(ps, times, g, P)
         report = self._report(traj, ps, window=(1.0, 100.0))
-        assert report["branch"] == "alpha_lt_2"
-        assert report["band"]["status"] == "ok"
-        assert report["band"]["ratio_ok"]
-        assert report["refinement"]["status"] == "degenerate"
+        band = report["chi|linf|l0"]
+        assert band["claim_kind"] == "band" and band["claimed_exponent"] == -0.75
+        assert band["status"] == "ok"
+        assert band["ratio_ok"]
+        refinement = report["chi+Z|linf|l0"]
+        assert refinement["status"] == "degenerate" and refinement["passed"] is None
+
+    def test_entry_holds_claim_fit_and_verdict(self):
+        # ts_slope is the fit's Theil-Sen slope less the claim: no second slope
+        g = make_grid(100.0, 1024)
+        ps = pr.constants(P, c_alpha=(1.0, -1.0))
+        times = np.geomspace(1.0, 100.0, 15)
+        traj = self._wave_plus_z_traj(ps, times, g, P)
+        series = asy.error_series_multi(traj, ps, ["chi"], norms=("linf", "l2"))
+        report = asy.optimal_rate_report(series, P, ps, (1.0, 100.0))
+        assert sorted(report) == ["chi|l2|l0", "chi|linf|l0"]
+        for (combo, l, nm), es in series.items():
+            entry = report[f"{combo}|{nm}|l{l}"]
+            claim = asy.rate_claim(P.alpha, combo, l, nm)
+            fit = asy.fit_rate(es, (1.0, 100.0), claim.log_power)
+            assert entry["claimed_exponent"] == claim.exponent
+            assert entry["exponent"] == fit.exponent
+            assert entry["ts_slope"] == fit.theil_sen - claim.exponent
+            scaled = es.values * claim.scale(es.times)
+            assert entry["scaled_first"] == scaled[0] and entry["scaled_last"] == scaled[-1]
+            slope = asy.theil_sen_slope(np.log1p(es.times), np.log(scaled))
+            assert abs(entry["ts_slope"] - slope) < 1e-12
+            assert entry["passed"] == (entry["ratio_ok"] and entry["slope_ok"])
 
     def test_zero_dispersion_marks_log_test_not_applicable(self):
         p = ModelParams(1.0, 0.0, 3.0, 0.3)
@@ -207,16 +240,23 @@ class TestOptimalRateReport:
             g, p, times,
             lambda t: pr.chi(g.x, t, p) + 0.05 * np.exp(-g.x**2 / 4.0) / (1.0 + t))
         report = self._report(traj, ps, window=(1.0, 100.0))
-        assert report["band"]["status"] == "not_applicable"
-        assert report["refinement"]["status"] == "ok"
+        band = report["chi|linf|l0"]
+        assert band["status"] == "not_applicable" and band["passed"] is None
+        assert "no log lower bound" in band["reason"]
+        assert report["chi+V|linf|l0"]["status"] == "ok"
 
-    def test_zero_mass_raises(self):
+    def test_zero_mass_is_a_hypothesis_violation(self):
         p = ModelParams(1.0, 1.0, 1.5, 0.0)
         g = make_grid(100.0, 1024)
         ps = pr.constants(p, c_alpha=(1.0, -1.0))
-        traj = synthetic_trajectory(g, p, [1.0, 2.0], lambda t: np.zeros(g.n_points))
-        with pytest.raises(HypothesisViolationError):
-            self._report(traj, ps)
+        times = np.geomspace(1.0, 100.0, 15)
+        traj = synthetic_trajectory(g, p, times, lambda t: np.exp(-g.x**2 / 4.0) / (1.0 + t))
+        report = self._report(traj, ps)
+        assert sorted(report) == ["chi+Z|linf|l0", "chi|linf|l0"]
+        for entry in report.values():
+            assert entry["status"] == "hypothesis_violation"
+            assert entry["reason"] == "optimal-rate claims require M != 0"
+            assert entry["passed"] is None and "exponent" in entry
 
     def test_window_too_short_to_fit_is_not_judged(self):
         # one minimum for both: a window fit_rate refuses is not judged either
@@ -231,12 +271,14 @@ class TestOptimalRateReport:
             asy.fit_rate(asy.error_series_multi(traj, ps, ["chi"])[("chi", 0, "linf")],
                          short)
         report = self._report(traj, ps, window=short)
-        for key in ("band", "refinement"):
-            assert report[key]["status"] == "insufficient_samples"
-            assert report[key]["n_samples"] == asy.MIN_FIT_SAMPLES - 1
-        assert report["passed"] is False
+        for entry in report.values():
+            assert entry["status"] == "insufficient_samples"
+            assert entry["n_samples"] == asy.MIN_FIT_SAMPLES - 1
+            assert f"need >= {asy.MIN_FIT_SAMPLES}" in entry["error"]
+            assert entry["passed"] is None
         enough = (1.0, float(times[asy.MIN_FIT_SAMPLES - 1]))
-        assert self._report(traj, ps, window=enough)["band"]["status"] == "ok"
+        entry = self._report(traj, ps, window=enough)["chi|linf|l0"]
+        assert entry["status"] == "ok" and "error" not in entry
 
     def test_exact_wave_flags_degenerate(self):
         g = make_grid(100.0, 1024)
@@ -244,8 +286,9 @@ class TestOptimalRateReport:
         times = np.geomspace(1.0, 100.0, 15)
         traj = synthetic_trajectory(g, P, times, lambda t: pr.chi(g.x, t, P))
         report = self._report(traj, ps, window=(1.0, 100.0))
-        assert report["band"]["status"] == "degenerate"
-        assert report["passed"] is False
+        assert report["chi|linf|l0"]["status"] == "degenerate"
+        assert report["chi|linf|l0"]["passed"] is None
+        assert report["chi+Z|linf|l0"]["passed"] is False
 
     def test_rate_ordering_z_never_worse(self):
         # subtracting Z must not slow the fitted decay for slow tails

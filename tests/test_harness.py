@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as spi
 
-from bbmburgers import ConfigError, HypothesisViolationError, NumericsError, make_grid
+from bbmburgers import ConfigError, NumericsError, make_grid
 from bbmburgers import asymptotics as asy
 from bbmburgers import checks, cli
 from bbmburgers import harness as hn
@@ -204,19 +204,27 @@ class TestRunExperiment:
 
     def test_each_window_fitted_once(self, monkeypatch):
         # one fit per full window and one per shrunk window: window_stability
-        # reuses the full-window fit instead of refitting it
-        calls = []
-        real = asy.fit_rate
+        # reuses the full-window fit instead of refitting it, and the verdict
+        # reuses the fit's Theil-Sen slope instead of taking its own
+        calls, slopes = [], []
+        real, real_slope = asy.fit_rate, asy.theil_sen_slope
 
         def counting(es, window, log_power=0):
             calls.append((es.combo, es.order, es.norm, tuple(window)))
             return real(es, window, log_power)
 
+        def counting_slope(x, y):
+            slopes.append(len(x))
+            return real_slope(x, y)
+
         monkeypatch.setattr(asy, "fit_rate", counting)
+        monkeypatch.setattr(asy, "theil_sen_slope", counting_slope)
         fits = hn.run_experiment(tiny_scenario(), out_root=None)["report"]["fits"]
         assert fits and all(fit["window_stability"] is not None for fit in fits.values())
+        assert all(fit["status"] == "ok" for fit in fits.values())
         assert len(calls) == 2 * len(fits)
         assert len(set(calls)) == len(calls)
+        assert len(slopes) == len(calls)
 
     @pytest.mark.parametrize("alpha, data, norms", [
         (1.5, dict(data_kind="prescribed_r0", c_plus=1.0, c_minus=-1.0), ["linf"]),
@@ -224,23 +232,20 @@ class TestRunExperiment:
         (2.0, dict(data_kind="prescribed_r0", c_plus=1.0, c_minus=1.0), ["l2"]),
     ], ids=["tail", "no-tail-l2", "alpha2-l2"])
     def test_rate_report_judges_the_run_series(self, alpha, data, norms):
-        # the report reuses the run's one series pass; judging fresh series of
-        # every claimed combination in linf must give the same report, also
-        # where the fits see l2 only
+        # the fits are the report of the run's one series pass, in the scenario's
+        # norms only: judging fresh series of the same keys gives the same entries
         s = tiny_scenario(alpha=alpha, L=50.0, N=1024, norms=norms,
                           derivative_orders=[0, 1],
                           t_samples=list(np.geomspace(1.0, 36.0, 12)), **data)
         bundle = hn.run_experiment(s, out_root=None)
         ps = bundle["profile_set"]
-        fresh = asy.error_series_multi(bundle["trajectory"], ps,
-                                       asy.claimed_combos(alpha), orders=(0, 1))
-        for l in (0, 1):
-            try:
-                expected = asy.optimal_rate_report(fresh, s.params, ps, l=l)
-            except HypothesisViolationError as exc:
-                expected = {"status": "hypothesis_violation", "reason": str(exc)}
-            assert bundle["report"]["optimal_rate"][f"l{l}"] == expected
+        combos = list(dict.fromkeys(combo for combo, _, _ in bundle["series"]))
+        fresh = asy.error_series_multi(bundle["trajectory"], ps, combos, orders=(0, 1),
+                                       norms=tuple(norms))
+        expected = asy.optimal_rate_report(fresh, s.params, ps)
+        assert bundle["report"]["fits"] == expected
         assert {nm for _, _, nm in bundle["series"]} == set(norms)
+        assert {fit["norm"] for fit in expected.values()} == set(norms)
 
     def test_one_z_evaluation_per_positive_sample(self, monkeypatch):
         # Z and Z_x come from one Z_eval call per positive sample time, shared
@@ -273,7 +278,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_exponent_tolerance_only_on_band_fits(self, alpha):
-        # the +-0.1 slope tolerance is the band test; other kinds judge otherwise
+        # the +-0.1 slope tolerance and the ratio bound are the band test; other
+        # kinds judge the slope against their own one-sided bounds
         s = tiny_scenario(alpha=alpha, data_kind="prescribed_r0", c_plus=1.0,
                           c_minus=-1.0, L=50.0, N=1024,
                           t_samples=list(np.geomspace(1.0, 36.0, 12)))
@@ -281,10 +287,15 @@ class TestRunExperiment:
         kinds = set()
         for fit in fits.values():
             kinds.add(fit["claim_kind"])
+            assert fit["status"] == "ok"
+            slope = fit["ts_slope"]
             if fit["claim_kind"] == "band":
-                assert fit["exponent_tolerance"] == asy.RateClaim.BAND_SLOPE_TOL
-            else:
-                assert "exponent_tolerance" not in fit
+                assert fit["slope_ok"] == (abs(slope) <= 0.1)
+                assert fit["ratio_ok"] == (fit["ratio"] <= 10.0)
+                continue
+            assert "ratio_ok" not in fit
+            bound = -0.05 if fit["claim_kind"] == "improves" else 0.05
+            assert fit["slope_ok"] == (slope <= bound)
         assert "band" in kinds and len(kinds) >= 2
 
     def test_linear_oracle_cross_check(self, tmp_path):
@@ -330,7 +341,9 @@ class TestRunExperiment:
         assert c_alpha["c_plus"] == c_alpha["c_minus"] == 0.0
         assert 0.0 < abs(zeroed["c_plus"]) < zeroed["bound"]
         assert not [k for k in report["fits"] if k.startswith("chi+Z|")]
-        assert report["optimal_rate"]["l0"]["status"] == "hypothesis_violation"
+        for fit in report["fits"].values():
+            assert fit["status"] == "hypothesis_violation" and fit["passed"] is None
+            assert fit["reason"].endswith("1 < alpha < 2 branch requires mu0 != 0")
 
     def test_validity_window_refused_up_front(self):
         s = tiny_scenario(t_samples=[1.0, 1e5])
@@ -374,14 +387,14 @@ class TestRunExperiment:
     def test_short_run_reports_insufficient_samples(self):
         # 3 samples: fit_rate refuses every window, so the rate report judges none
         s = tiny_scenario(t_samples=[1.0, 4.0, 16.0])
-        report = hn.run_experiment(s, out_root=None)["report"]
-        assert all("need >= 8" in fit["error"] for fit in report["fits"].values())
-        rate = report["optimal_rate"]["l0"]
-        for key in ("band", "refinement"):
-            assert rate[key]["status"] == "insufficient_samples"
-            assert rate[key]["n_samples"] == 3
-            assert not [k for k in rate[key] if k.endswith("_ok")]
-        assert rate["passed"] is False
+        fits = hn.run_experiment(s, out_root=None)["report"]["fits"]
+        assert sorted(fits) == ["chi+V|linf|l0", "chi|linf|l0"]
+        for fit in fits.values():
+            assert "need >= 8" in fit["error"]
+            assert fit["status"] == "insufficient_samples"
+            assert fit["n_samples"] == 3
+            assert not [k for k in fit if k.endswith("_ok")]
+            assert fit["passed"] is None
 
     def test_short_shrunk_window_keeps_the_fit(self):
         # 9 samples fit the full window, but its 10 %-shrunk copy holds 6
@@ -392,7 +405,7 @@ class TestRunExperiment:
             assert math.isfinite(fit["exponent"])
             assert fit["window_stability"] is None and fit["resolved"] is False
             assert "holds 6 samples; need >= 8" in fit["reason"]
-        assert report["optimal_rate"]["l0"]["band"]["status"] == "ok"
+        assert report["fits"]["chi|linf|l0"]["status"] == "ok"
 
     def test_l2_series_judged_against_the_l2_claim(self, tmp_path, capsys):
         s = tiny_scenario(norms=["linf", "l2"])
@@ -417,7 +430,14 @@ class TestRunExperiment:
         assert cli.main(args + ["l2"]) == 0
         assert "claimed    = -0.7500  (band)" in capsys.readouterr().out
         assert cli.main(args + ["linf"]) == 0
-        assert "claimed    = -1.0000  (band)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "claimed    = -1.0000  (band)" in out
+        # rates prints the bundle's own entry, verdict included
+        entry = fits["chi|linf|l0"]
+        assert f"  status     = {entry['status']}" in out
+        assert f"  ratio      = {entry['ratio']:.4g}  " in out
+        assert f"  ts_slope   = {entry['ts_slope']:+.4f}" in out
+        assert f"  passed     = {entry['passed']}" in out
 
 
 class TestBundleFormat:
